@@ -12,6 +12,13 @@
 // command of the connection has replied. RESP clients rely on this: the
 // k-th reply answers the k-th command.
 //
+// Execution order is FIFO per (connection, shard): the requests one
+// connection sends one shard enter that shard's queue, and so execute, in
+// command order — a GET sees the connection's earlier SET of the same key.
+// Across shards there is no order: a read burst's per-shard runs are handed
+// over independently (Server::SubmitRuns), and under backpressure one
+// shard's suffix may stall while another shard's run is accepted.
+//
 // The write side is a chunked queue of two chunk kinds (DESIGN.md §7):
 //   * owned chunks — a mutable tail that coalesces small RESP replies, so
 //     ordinary request/reply traffic pays no per-reply chunk overhead;
@@ -43,9 +50,10 @@
 
 namespace jnvm::server {
 
-// A parsed request whose target shard queue was full when it was dispatched.
-// The connection stops reading (backpressure) and the request waits here
-// until the shard drains; arrival order within the connection is preserved.
+// A parsed request whose target shard queue was full when it was handed
+// over. The connection stops reading (backpressure) and the request waits
+// here until the shard drains. The queue re-drives front-first, so the
+// connection's order per shard is preserved.
 struct StalledRequest {
   uint32_t shard = 0;
   Request req;

@@ -173,6 +173,7 @@ std::unique_ptr<Server> Server::Start(const ServerOptions& opts,
   for (uint32_t i = 0; i < nloops; ++i) {
     auto lp = std::make_unique<Loop>();
     lp->index = i;
+    lp->runs.resize(opts.nshards);
     s->loops_.push_back(std::move(lp));
   }
 
@@ -258,6 +259,7 @@ std::unique_ptr<Server> Server::Start(const ServerOptions& opts,
       s->loops_[i]->listen_fd = fd;
     }
   }
+  s->handoff_ = nloops > 1 && s->loops_[1]->listen_fd < 0;
 
   for (auto& lp : s->loops_) {
     int pipefd[2];
@@ -399,6 +401,15 @@ void Server::WakeLoop(Loop& lp) {
   } while (n < 0 && errno == EINTR);
 }
 
+void Server::PostWake(Loop& lp) {
+  // Only the post that raises the flag writes; until the loop drains the
+  // pipe and lowers it, that byte already guarantees the loop will swap out
+  // everything posted under lp.mu before the swap (EventLoop).
+  if (!lp.wake_pending.exchange(true, std::memory_order_acq_rel)) {
+    WakeLoop(lp);
+  }
+}
+
 void Server::OnCompletion(Completion&& c) {
   // Called from shard workers and from any loop (inline joins). The loop
   // index rides in the conn id's high bits, so every completion source —
@@ -409,7 +420,30 @@ void Server::OnCompletion(Completion&& c) {
     std::lock_guard<std::mutex> lk(lp.mu);
     lp.completions.push_back(std::move(c));
   }
-  WakeLoop(lp);
+  PostWake(lp);
+}
+
+void Server::OnCompletions(std::vector<Completion>& batch) {
+  // A batch usually belongs to one loop; each owning loop gets its share in
+  // batch order under one lock. A moved-from completion keeps its conn_id,
+  // so every completion is routed exactly once.
+  for (const auto& owned : loops_) {
+    Loop& lp = *owned;
+    std::unique_lock<std::mutex> lk(lp.mu, std::defer_lock);
+    for (Completion& c : batch) {
+      if (&LoopFor(c.conn_id) != &lp) {
+        continue;
+      }
+      if (!lk.owns_lock()) {
+        lk.lock();
+      }
+      lp.completions.push_back(std::move(c));
+    }
+    if (lk.owns_lock()) {
+      lk.unlock();
+      PostWake(lp);
+    }
+  }
 }
 
 void Server::EventLoop(Loop& lp) {
@@ -473,6 +507,9 @@ void Server::EventLoop(Loop& lp) {
         do {
           n = ::read(lp.wake_r, buf, sizeof(buf));
         } while (n > 0 || (n < 0 && errno == EINTR));
+        // Lower the flag after draining and before the swaps below: a post
+        // the swaps miss raises it again and writes a fresh byte.
+        lp.wake_pending.store(false, std::memory_order_release);
         DrainFdInbox(lp);
         DrainCompletions(lp);
         continue;
@@ -500,9 +537,8 @@ void Server::EventLoop(Loop& lp) {
 }
 
 void Server::AcceptPending(Loop& lp) {
-  // Hand-off mode iff the pool has more than one loop but only loop 0 holds
-  // a listener (no SO_REUSEPORT): loop 0 accepts and deals fds round-robin.
-  const bool handoff = loops_.size() > 1 && loops_[1]->listen_fd < 0;
+  // Hand-off mode (handoff_): loop 0 holds the only listener, accepts and
+  // deals fds round-robin.
   for (;;) {
     const int fd = ::accept(lp.listen_fd, nullptr, nullptr);
     if (fd < 0) {
@@ -514,7 +550,7 @@ void Server::AcceptPending(Loop& lp) {
       }
       return;  // EAGAIN or a real error: nothing more to accept now
     }
-    if (!handoff) {
+    if (!handoff_) {
       RegisterConn(lp, fd);
       continue;
     }
@@ -527,7 +563,7 @@ void Server::AcceptPending(Loop& lp) {
       std::lock_guard<std::mutex> lk(target.mu);
       target.fd_inbox.push_back(fd);
     }
-    WakeLoop(target);
+    PostWake(target);
   }
 }
 
@@ -627,7 +663,7 @@ void Server::ProcessInput(Loop& lp, Conn& conn) {
   while (!conn.paused && !lp.intake_stopped) {
     const RespParser::Status st = conn.parser.Next(&args, &perr);
     if (st == RespParser::Status::kNeedMore) {
-      return;
+      break;
     }
     if (st == RespParser::Status::kError) {
       // Protocol violation (or input-cap overflow): this connection's
@@ -644,17 +680,19 @@ void Server::ProcessInput(Loop& lp, Conn& conn) {
         return r;
       }());
       conn.closing = true;
-      return;
+      break;
     }
     Bump(lp.counters.commands);
     if (!Dispatch(lp, conn, args)) {
       conn.closing = true;
-      return;
+      break;
     }
     if (lp.exiting) {
-      return;  // SHUTDOWN handled inside Dispatch; conns are gone
+      return;  // SHUTDOWN handled inside Dispatch (runs went first); conns are gone
     }
   }
+  // The read burst's plain commands go to their shards together.
+  SubmitRuns(lp, conn);
 }
 
 void Server::HandleWritable(Loop& lp, Conn& conn) {
@@ -716,6 +754,32 @@ bool Server::SubmitOrStall(Loop& lp, Conn& conn, uint32_t shard_idx,
   conn.stalled.push_back(StalledRequest{shard_idx, std::move(req)});
   PauseReads(lp, conn);
   return true;
+}
+
+void Server::SubmitRuns(Loop& lp, Conn& conn) {
+  // Runs fill only while the connection is not read-paused, and stalled
+  // requests always pause it, so nothing stalled earlier can be overtaken.
+  // A suffix this call stalls for one shard does not hold up another
+  // shard's run: order holds per (connection, shard), not across shards.
+  for (uint32_t idx = 0; idx < lp.runs.size(); ++idx) {
+    std::vector<Request>& run = lp.runs[idx];
+    if (run.empty()) {
+      continue;
+    }
+    const Shard::SubmitResult r = shards_[idx]->TrySubmitMany(&run);
+    for (Request& req : run) {  // the unaccepted suffix, in order
+      JNVM_DCHECK(req.conn_id == conn.id);
+      if (r == Shard::SubmitResult::kStopped) {
+        FailStalledRequest(lp, conn, req);
+      } else {
+        conn.stalled.push_back(StalledRequest{idx, std::move(req)});
+      }
+    }
+    if (r == Shard::SubmitResult::kFull) {
+      PauseReads(lp, conn);
+    }
+    run.clear();
+  }
 }
 
 void Server::RetryStalled(Loop& lp) {
@@ -811,6 +875,13 @@ void Server::CompleteInline(Conn& conn, uint64_t seq, std::string&& reply) {
 
 bool Server::Dispatch(Loop& lp, Conn& conn, std::vector<std::string>& args) {
   const std::string cmd = Upper(args[0]);
+  const bool plain = cmd == "SET" || cmd == "GET" || cmd == "DEL" ||
+                     cmd == "TOUCH" || cmd == "HSET";
+  if (!plain) {
+    // Anything else may need to order after the buffered runs (LASTSEQ,
+    // EXEC, MSET, SHUTDOWN, ...): hand them to the shards first.
+    SubmitRuns(lp, conn);
+  }
   if (cmd == "REPLACK") {
     // Ack frame from a REPLSYNC subscriber: REPLACK <shard> <seq> certifies
     // that the replica's log is durable through <seq>. One-way — it gets no
@@ -908,8 +979,7 @@ bool Server::Dispatch(Loop& lp, Conn& conn, std::vector<std::string>& args) {
     CompleteInline(conn, seq, std::move(r));
     return true;
   }
-  if (cmd == "SET" || cmd == "GET" || cmd == "DEL" || cmd == "TOUCH" ||
-      cmd == "HSET") {
+  if (plain) {
     Request req;
     if (cmd == "SET") {
       if (args.size() != 3) {
@@ -966,10 +1036,7 @@ bool Server::Dispatch(Loop& lp, Conn& conn, std::vector<std::string>& args) {
           return true;  // the shard owns the completion now
       }
     }
-    if (!SubmitOrStall(lp, conn, idx, std::move(req))) {
-      --conn.inflight;
-      return inline_error("server shutting down");
-    }
+    lp.runs[idx].push_back(std::move(req));  // SubmitRuns hands it over
     return true;
   }
   if (cmd == "MINSEQ" || cmd == "LASTSEQ") {

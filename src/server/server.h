@@ -6,10 +6,24 @@
 // hands fds off round-robin through per-loop inboxes), and a connection is
 // pinned to its accepting loop for life — all of its socket I/O, parsing and
 // reply assembly happen on that one thread, so per-connection state needs no
-// locks. Requests flow any loop → shard MPSC queue; completions flow back
-// through a per-loop completion queue selected by the loop index encoded in
-// the connection id, and a per-loop self-pipe byte wakes the owner. Replies
-// are delivered in per-connection command order (src/server/conn.h).
+// locks. Replies are delivered in per-connection command order
+// (src/server/conn.h).
+//
+// The loop ↔ shard hand-off is batched both ways. Loop → shard: Dispatch
+// appends each plain GET/SET/DEL/TOUCH/HSET to a per-shard run, and
+// SubmitRuns pushes every run with one Shard::TrySubmitMany (one lock, one
+// notify) at the end of each ProcessInput and before any other command
+// dispatches. Shard → loop: a shard posts a whole batch of completions
+// through OnCompletions, each routed to the completion queue of the loop
+// whose index rides in its connection id; each owning loop's lock is taken
+// once per batch,
+// and its self-pipe is written only when its `wake_pending` flag flips
+// false → true. The loop clears the flag after draining the pipe and before
+// swapping out its completion queue, so a producer that posts after the
+// swap always finds the flag down and writes a fresh byte: no wakeup is
+// lost, and a burst of batches costs one wake. A connection's requests stay
+// FIFO per (connection, shard) — a run stalls its unaccepted suffix in
+// order — but not across shards (src/server/conn.h).
 //
 // Commands (RESP arrays of bulk strings; names case-insensitive):
 //   PING                       +PONG
@@ -203,6 +217,8 @@ class Server : public CompletionSink {
   // CompletionSink (called from shard workers and any loop): routes the
   // completion to the loop owning its connection and wakes it.
   void OnCompletion(Completion&& c) override;
+  // One lock per owning loop per batch, at most one wake byte per loop.
+  void OnCompletions(std::vector<Completion>& batch) override;
 
  private:
   // Everything one event-loop thread owns. Connections live and die on one
@@ -222,6 +238,14 @@ class Server : public CompletionSink {
     std::mutex mu;  // guards completions + fd_inbox (the cross-thread doors)
     std::vector<Completion> completions;
     std::vector<int> fd_inbox;  // accepted fds handed off by loop 0
+    // True from the post that wrote a wake byte until the loop drained the
+    // pipe (PostWake): later posts skip the write syscall.
+    std::atomic<bool> wake_pending{false};
+
+    // Plain requests parsed but not yet handed to their shard, one run per
+    // shard. Only the connection in ProcessInput fills them, and SubmitRuns
+    // empties them before ProcessInput returns.
+    std::vector<std::vector<Request>> runs;
 
     // Connections with a non-empty stall queue (backpressure), retried
     // after completions drain and on each loop tick.
@@ -243,7 +267,11 @@ class Server : public CompletionSink {
   // id 0 keeps meaning "no connection" / internal).
   static constexpr int kLoopShift = 48;
   Loop& LoopFor(uint64_t conn_id);
+  // Unconditional wake byte: for state not posted under lp.mu (shutdown).
   void WakeLoop(Loop& lp);
+  // Wake after posting under lp.mu (completions, handed-off fds): writes
+  // the byte only on the wake_pending false → true flip.
+  void PostWake(Loop& lp);
 
   void EventLoop(Loop& lp);
   void AcceptPending(Loop& lp);
@@ -279,6 +307,10 @@ class Server : public CompletionSink {
   // Queues `req` on shard `shard_idx` or stalls it on the connection
   // (read-pause backpressure). False = shard stopping; caller replies -ERR.
   bool SubmitOrStall(Loop& lp, Conn& conn, uint32_t shard_idx, Request&& req);
+  // Pushes the loop's runs (all `conn`'s) with one TrySubmitMany per shard.
+  // A kFull suffix stalls on the connection in order; kStopped fails the
+  // run's requests the way FailStalledRequest does.
+  void SubmitRuns(Loop& lp, Conn& conn);
   // Re-drives stalled requests after shard queues drained; resumes reading
   // and parsing when a connection's stall queue empties.
   void RetryStalled(Loop& lp);
@@ -326,6 +358,9 @@ class Server : public CompletionSink {
   ServerOptions opts_;
   uint16_t port_ = 0;
   std::vector<std::unique_ptr<Loop>> loops_;
+  // Hand-off mode (a pool of loops, one listener on loop 0): decided once in
+  // Start, because StopIntake rewrites listen_fd on other loops' threads.
+  bool handoff_ = false;
   uint32_t rr_next_ = 0;  // hand-off round-robin cursor (loop 0 only)
   std::vector<std::unique_ptr<Shard>> shards_;
   // Declared after shards_ so destruction stops the pull threads first.

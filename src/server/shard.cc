@@ -97,6 +97,12 @@ bool ApplyRecordHasTxnOps(const Request& req) {
   return repl::DecodeRecord(req.value, &seq, &bf) && repl::BatchHasTxnOps(bf);
 }
 
+// True when `key`'s cluster slot lies in the request's [slot_lo, slot_hi].
+bool InSlotRange(const std::string& key, const Request& req) {
+  const uint16_t s = cluster::SlotForKey(key);
+  return s >= req.slot_lo && s <= req.slot_hi;
+}
+
 constexpr char kReadonlyMsg[] = "READONLY replica - write rejected";
 
 uint64_t NowMs() { return NowNs() / 1000000ull; }
@@ -298,19 +304,34 @@ bool Shard::Submit(Request&& req) {
   return true;
 }
 
-Shard::SubmitResult Shard::TrySubmit(Request&& req) {
+Shard::SubmitResult Shard::PushRun(Request* reqs, size_t n, size_t* taken) {
+  *taken = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (stopping_) {
       return SubmitResult::kStopped;
     }
-    if (queue_.size() >= opts_.queue_capacity) {
-      return SubmitResult::kFull;  // req untouched: caller stalls and retries
+    while (*taken < n && queue_.size() < opts_.queue_capacity) {
+      queue_.push_back(std::move(reqs[(*taken)++]));
     }
-    queue_.push_back(std::move(req));
   }
-  not_empty_.notify_one();
-  return SubmitResult::kOk;
+  if (*taken > 0) {
+    not_empty_.notify_one();
+  }
+  // The untaken suffix is untouched: the caller stalls it and retries.
+  return *taken == n ? SubmitResult::kOk : SubmitResult::kFull;
+}
+
+Shard::SubmitResult Shard::TrySubmit(Request&& req) {
+  size_t taken = 0;
+  return PushRun(&req, 1, &taken);
+}
+
+Shard::SubmitResult Shard::TrySubmitMany(std::vector<Request>* reqs) {
+  size_t taken = 0;
+  const SubmitResult r = PushRun(reqs->data(), reqs->size(), &taken);
+  reqs->erase(reqs->begin(), reqs->begin() + static_cast<ptrdiff_t>(taken));
+  return r;
 }
 
 void Shard::Unsubscribe(uint64_t conn_id) {
@@ -940,15 +961,16 @@ void Shard::ApplyPostSealTxns() {
 }
 
 // The last part of a txn phase to deliver — post-Psync, and post-WAIT-K
-// when configured — posts one completion carrying the txn; the event loop
-// advances the phase state machine.
-void Shard::TxnJoin(const std::shared_ptr<txn::TxnState>& t) {
+// when configured — adds one completion carrying the txn to its batch's
+// post; the event loop advances the phase state machine.
+void Shard::TxnJoin(const std::shared_ptr<txn::TxnState>& t,
+                    std::vector<Completion>* out) {
   if (t->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     Completion c;
     c.conn_id = t->conn_id;
     c.seq = t->reply_seq;
     c.txn = t;
-    sink_->OnCompletion(std::move(c));
+    out->push_back(std::move(c));
   }
 }
 
@@ -1057,7 +1079,7 @@ bool Shard::ExecuteSnapInstall(const Request& req, std::string* error) {
     keep.insert(e.key);
   }
   std::vector<std::string> drop;
-  backend_->SnapshotRecords([&](const std::string& key, const store::Record&) {
+  backend_->ForEachKey([&](const std::string& key) {
     if (keep.find(key) == keep.end()) {
       drop.push_back(key);
     }
@@ -1099,22 +1121,21 @@ bool Shard::ExecuteCkpt(const Request& req, std::string* reply) {
     // Walk chunk. Under the J-NVM heap the store IS the checkpoint image —
     // every batch Psync already made its effects durable in place — so the
     // walk copies nothing: it enumerates the in-range records through the
-    // snapshot cursor (read-back validation) and accounts keys/bytes.
+    // snapshot cursor (read-back validation) and accounts keys/bytes. Only
+    // the chunk's own records are read back, so a pass reads the heap once.
     if (req.slot_lo == 0) {
       ckpt_walk_keys_ = 0;
       ckpt_walk_bytes_ = 0;
     }
     uint64_t keys = 0;
     uint64_t bytes = 0;
-    const bool ok = backend_->SnapshotRecords(
+    const bool ok = backend_->SnapshotRecordsIf(
+        [&](const std::string& key) { return InSlotRange(key, req); },
         [&](const std::string& key, const store::Record& r) {
-          const uint16_t s = cluster::SlotForKey(key);
-          if (s >= req.slot_lo && s <= req.slot_hi) {
-            ++keys;
-            bytes += key.size();
-            for (const std::string& f : r.fields) {
-              bytes += f.size();
-            }
+          ++keys;
+          bytes += key.size();
+          for (const std::string& f : r.fields) {
+            bytes += f.size();
           }
         });
     if (!ok) {
@@ -1239,12 +1260,10 @@ void Shard::ExecuteSlotSnap(const Request& req, std::string* reply) {
     return;
   }
   std::vector<repl::SnapshotEntry> entries;
-  const bool ok = backend_->SnapshotRecords(
+  const bool ok = backend_->SnapshotRecordsIf(
+      [&](const std::string& key) { return InSlotRange(key, req); },
       [&](const std::string& key, const store::Record& r) {
-        const uint16_t s = cluster::SlotForKey(key);
-        if (s >= req.slot_lo && s <= req.slot_hi) {
-          entries.push_back({key, r});
-        }
+        entries.push_back({key, r});
       });
   if (!ok) {
     *reply = "-ERR backend does not support snapshots";
@@ -1349,9 +1368,8 @@ bool Shard::ExecuteSlotPurge(const Request& req, std::string* reply,
     return false;
   }
   std::vector<std::string> victims;
-  backend_->SnapshotRecords([&](const std::string& key, const store::Record&) {
-    const uint16_t s = cluster::SlotForKey(key);
-    if (s >= req.slot_lo && s <= req.slot_hi) {
+  backend_->ForEachKey([&](const std::string& key) {
+    if (InSlotRange(key, req)) {
       victims.push_back(key);
     }
   });
@@ -1443,9 +1461,8 @@ void Shard::SlotDelta(std::string_view key, int d) {
 
 void Shard::RebuildSlotCounts() {
   std::vector<uint32_t> fresh(cluster::kNumSlots, 0);
-  backend_->SnapshotRecords([&](const std::string& key, const store::Record&) {
-    fresh[cluster::SlotForKey(key)]++;
-  });
+  backend_->ForEachKey(
+      [&](const std::string& key) { fresh[cluster::SlotForKey(key)]++; });
   std::lock_guard<std::mutex> lk(slot_mu_);
   slot_keys_ = std::move(fresh);
 }
@@ -1497,11 +1514,14 @@ void Shard::DeliverBatch(std::vector<Request>& batch,
                          std::vector<std::string>& replies) {
   // Runs after the batch's durability point: replies may now leave the
   // machine. Multi-op parts are counted down here — post-Psync — so the
-  // joined +OK implies every part is durable on its own shard.
+  // joined +OK implies every part is durable on its own shard. The batch's
+  // completions leave together, in one OnCompletions post.
+  std::vector<Completion> out;
+  out.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     Request& req = batch[i];
     if (req.txn != nullptr) {
-      TxnJoin(req.txn);
+      TxnJoin(req.txn, &out);
       continue;
     }
     if (req.waiter != nullptr) {
@@ -1530,7 +1550,7 @@ void Shard::DeliverBatch(std::vector<Request>& batch,
                                      ? "OK"
                                      : req.multi->ok_reply);
         }
-        sink_->OnCompletion(std::move(c));
+        out.push_back(std::move(c));
       }
       continue;
     }
@@ -1541,7 +1561,10 @@ void Shard::DeliverBatch(std::vector<Request>& batch,
     c.conn_id = req.conn_id;
     c.seq = req.seq;
     c.reply = std::move(replies[i]);
-    sink_->OnCompletion(std::move(c));
+    out.push_back(std::move(c));
+  }
+  if (!out.empty()) {
+    sink_->OnCompletions(out);
   }
 }
 
@@ -1723,6 +1746,7 @@ void Shard::ReleaseSessionReads() {
     parked_reads_count_.store(parked_reads_.size(), std::memory_order_release);
   }
   std::vector<repl::ReplOp> rops;  // reads never append to it
+  std::vector<Completion> out;
   for (Request& req : ready) {
     std::string reply;
     Execute(req, &reply, &rops);
@@ -1734,7 +1758,10 @@ void Shard::ReleaseSessionReads() {
     c.conn_id = req.conn_id;
     c.seq = req.seq;
     c.reply = std::move(reply);
-    sink_->OnCompletion(std::move(c));
+    out.push_back(std::move(c));
+  }
+  if (!out.empty()) {
+    sink_->OnCompletions(out);
   }
 }
 
@@ -1809,13 +1836,16 @@ void Shard::StreamToSubscribers(uint64_t first_seq, uint64_t last_seq) {
   stream_frames_.fetch_add(1, std::memory_order_relaxed);
   stream_frame_bytes_.fetch_add(buf->size(), std::memory_order_relaxed);
   const std::shared_ptr<const std::string> shared = std::move(buf);
+  std::vector<Completion> out;
+  out.reserve(subs_.size());
   for (const Subscriber& sub : subs_) {
     Completion c;
     c.conn_id = sub.conn_id;
     c.stream = true;
     c.frame = shared;
-    sink_->OnCompletion(std::move(c));
+    out.push_back(std::move(c));
   }
+  sink_->OnCompletions(out);
 }
 
 void Shard::PublishReplStats() {

@@ -5,11 +5,20 @@
 // worker thread draining a bounded MPSC request queue. The queue really is
 // multi-producer: with `--loops=N` every event-loop thread (plus the
 // ReplClient and the migrator) submits into the same shard concurrently —
-// Submit/TrySubmit are safe from any thread, and a completion finds its
-// way back to the loop that owns the requesting connection via the conn_id
-// it carries (the loop index rides in the id's top bits). Keys are routed
-// to shards by FNV-1a hash (ShardFor), so a key's whole history lives on
-// one device — restart recovery is per-shard and embarrassingly parallel.
+// Submit/TrySubmit/TrySubmitMany are safe from any thread, and a completion
+// finds its way back to the loop that owns the requesting connection via
+// the conn_id it carries (the loop index rides in the id's top bits). Keys
+// are routed to shards by FNV-1a hash (ShardFor), so a key's whole history
+// lives on one device — restart recovery is per-shard and embarrassingly
+// parallel.
+//
+// Both crossings carry batches. An event loop hands a shard a whole run of
+// requests (one read burst's worth) with TrySubmitMany — one queue lock and
+// one worker notify per run — and the worker hands back a whole batch of
+// completions with CompletionSink::OnCompletions, so the server takes each
+// owning loop's lock once per batch and writes its wake pipe at most once.
+// The queue is FIFO, so the requests one connection sends a shard execute
+// in the order it sent them.
 //
 // The worker executes requests in batches of up to `batch` and holds the
 // heap in group-commit mode for the batch: per-operation trailing
@@ -313,6 +322,13 @@ class CompletionSink {
   virtual ~CompletionSink() = default;
   // Called from shard worker threads; must be thread-safe.
   virtual void OnCompletion(Completion&& c) = 0;
+  // One batch's completions, in delivery order. Moves every element out;
+  // the vector stays the caller's. The default posts them one by one.
+  virtual void OnCompletions(std::vector<Completion>& batch) {
+    for (Completion& c : batch) {
+      OnCompletion(std::move(c));
+    }
+  }
 };
 
 // Final state handed back by Quiesce().
@@ -453,6 +469,11 @@ class Shard {
   // it and retry; kStopped means the shard is draining (terminal).
   enum class SubmitResult : uint8_t { kOk, kFull, kStopped };
   SubmitResult TrySubmit(Request&& req);
+  // Non-blocking push of a whole run under one lock and one worker notify:
+  // takes the longest prefix that fits and erases it from *reqs, so what is
+  // left is exactly the unaccepted suffix, in order. kOk = all taken, kFull
+  // = a suffix is left, kStopped = nothing taken (terminal).
+  SubmitResult TrySubmitMany(std::vector<Request>* reqs);
 
   // Drops a replication-stream subscription (connection closed).
   void Unsubscribe(uint64_t conn_id);
@@ -546,6 +567,11 @@ class Shard {
   bool ExecuteCkpt(const Request& req, std::string* reply);
   void ExecuteReplDiff(const Request& req, std::string* reply);
   void ExecuteLogDigests(std::string* reply);
+  // Pushes up to `n` requests starting at `reqs` under one lock; *taken =
+  // how many moved into the queue (a prefix). Backs TrySubmit and
+  // TrySubmitMany.
+  SubmitResult PushRun(Request* reqs, size_t n, size_t* taken);
+  // Posts the batch's completions through one OnCompletions call.
   void DeliverBatch(std::vector<Request>& batch, std::vector<std::string>& replies);
   void StreamToSubscribers(uint64_t first_seq, uint64_t last_seq);
   void RedoLogTail(uint64_t replay_from, txn::LogScanResult* scan);
@@ -570,8 +596,9 @@ class Shard {
   // only seal after these applies are durable, preserving the redo-tail
   // invariant (only the tail record's store effects may be incomplete).
   void ApplyPostSealTxns();
-  // Phase join: the last request of a txn phase posts one completion.
-  void TxnJoin(const std::shared_ptr<txn::TxnState>& t);
+  // Phase join: the last request of a txn phase adds one completion to *out.
+  void TxnJoin(const std::shared_ptr<txn::TxnState>& t,
+               std::vector<Completion>* out);
 
   // ---- WAIT-K parking (worker + event-loop threads) -----------------------
   // A sealed batch withheld between its Psync and its delivery.

@@ -724,6 +724,13 @@ TEST_F(ReplE2E, CheckpointTruncatesAndBoundsRestartReplay) {
     const std::string stats = pc->Stats().value_or("");
     EXPECT_EQ(SumStatsField(stats, "walked_keys="), static_cast<uint64_t>(kPre))
         << stats;
+    // Each walk chunk reads back only its own slot range, and together the
+    // chunks still account every key and value byte exactly once.
+    uint64_t live_bytes = 0;
+    for (int i = 0; i < kPre; ++i) {
+      live_bytes += Key(i).size() + ("val:" + std::to_string(i)).size();
+    }
+    EXPECT_EQ(SumStatsField(stats, "walked_bytes="), live_bytes) << stats;
     EXPECT_GE(SumStatsField(stats, "truncated_segs="), 1u) << stats;
 
     // Tail records appended past the checkpoint bound.

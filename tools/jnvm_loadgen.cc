@@ -151,9 +151,9 @@ struct Config {
   bool cluster_verify = false;  // exactly-once sweep over every key
 };
 
-// Spin barrier between the preload and the read phase: with session reads
-// and --expect-hits no thread may read a slice another thread is still
-// preloading.
+// Spin barrier between the preload and the traffic: no thread may read a
+// slice another thread is still preloading (a miss would fail
+// --expect-hits, and would skew any run's hit rate).
 struct Barrier {
   std::atomic<uint32_t> arrived{0};
   uint32_t total = 0;
@@ -799,10 +799,11 @@ void Worker(const Config& cfg, uint32_t tid, uint64_t deadline_ns,
     }
   }
 
-  // With session reads every thread must see every preloaded key: hold all
-  // threads here until the whole key space is on the primary, then seed the
-  // per-shard session tokens with the primary's current sealed watermarks so
-  // replica reads cover the preload too (not just this thread's own writes).
+  // Every thread must see every preloaded key: hold all threads here until
+  // the whole key space is on the primary. With session reads, then seed
+  // the per-shard session tokens with the primary's current sealed
+  // watermarks so replica reads cover the preload too (not just this
+  // thread's own writes).
   std::vector<uint64_t> last_seq(cfg.shards, 0);
   std::vector<std::vector<uint64_t>> sent_token(
       cfg.read_endpoints.size(), std::vector<uint64_t>(cfg.shards, 0));
@@ -1118,10 +1119,9 @@ int main(int argc, char** argv) {
   std::atomic<bool> failed{false};
   Barrier barrier;
   barrier.total = cfg.threads;
-  // Only replica-routed runs need the preload/read fence; plain runs keep the
-  // historical free-running start.
-  Barrier* barrier_ptr =
-      (cfg.preload && cfg.read_from_replica) ? &barrier : nullptr;
+  // Every preloading run fences the preload from the traffic: a thread may
+  // read any key, so it must not start before every slice is written.
+  Barrier* barrier_ptr = cfg.preload ? &barrier : nullptr;
   const uint64_t t0 = jnvm::NowNs();
   {
     std::vector<std::thread> threads;
