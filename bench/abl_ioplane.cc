@@ -1,13 +1,11 @@
 // Ablation — multi-core I/O plane (DESIGN.md §7).
 //
-// One server, a grid of {conns × loops × shards × poller}: every client
-// thread owns one connection and drives a pipelined 50/50 SET/GET mix, so
-// the bottleneck under test is the event-loop plane itself (readiness
-// notification, parse, submit, completion routing, flush) rather than the
-// shards. With --loops=N connections spread across N event-loop threads via
-// SO_REUSEPORT; the io_uring rows additionally exercise the batched-SENDMSG
-// flush path (one ring submission flushes every dirty connection), reported
-// as batch_flushes in the final column.
+// One server, a grid of {conns × loops × shards}: every client thread owns
+// one connection and drives a pipelined 50/50 SET/GET mix, so the
+// bottleneck under test is the event-loop plane itself (epoll readiness,
+// parse, submit, completion routing, writev flush) rather than the shards.
+// With --loops=N connections spread across N event-loop threads via
+// SO_REUSEPORT.
 //
 // NOTE: loop scaling needs hardware parallelism. On a single-core host all
 // loops time-share one CPU and the loops column flattens toward 1x — the
@@ -15,7 +13,6 @@
 // plane costs nothing when cores are absent.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,7 +22,6 @@
 #include "src/common/clock.h"
 #include "src/common/rand.h"
 #include "src/server/client.h"
-#include "src/server/poller.h"
 #include "src/server/server.h"
 #include "src/server/shard.h"
 
@@ -36,25 +32,14 @@ namespace {
 
 constexpr uint32_t kPipeline = 32;
 
-ServerOptions BaseOpts(uint32_t shards, uint32_t loops,
-                       const std::string& poller) {
+ServerOptions BaseOpts(uint32_t shards, uint32_t loops) {
   ServerOptions o;
   o.nshards = shards;
   o.shard.device_bytes = 128ull << 20;
   o.shard.map_capacity = 1 << 14;
   o.shard.batch = 16;
   o.loops = loops;
-  o.poller = poller;
   return o;
-}
-
-uint64_t StatsField(Client& c, const char* field) {
-  const std::string stats = c.Stats().value_or("");
-  const size_t pos = stats.find(field);
-  if (pos == std::string::npos) {
-    return 0;
-  }
-  return std::strtoull(stats.c_str() + pos + std::strlen(field), nullptr, 10);
 }
 
 // One client thread: `rounds` pipelines of kPipeline mixed SET/GET ops.
@@ -94,16 +79,11 @@ void Worker(uint16_t port, uint64_t keys, uint64_t rounds, uint64_t seed,
   *ops_out = ops;
 }
 
-struct RunResult {
-  double ops_per_sec = 0;
-  uint64_t batch_flushes = 0;
-  std::string poller;  // backend actually in use (uring may fall back)
-};
-
-RunResult RunOnce(uint32_t conns, uint32_t loops, uint32_t shards,
-                  const std::string& poller, uint64_t keys, uint64_t rounds) {
+// Aggregate ops/s of one grid cell.
+double RunOnce(uint32_t conns, uint32_t loops, uint32_t shards, uint64_t keys,
+               uint64_t rounds) {
   std::string err;
-  auto server = Server::Start(BaseOpts(shards, loops, poller), &err);
+  auto server = Server::Start(BaseOpts(shards, loops), &err);
   if (server == nullptr) {
     std::fprintf(stderr, "server: %s\n", err.c_str());
     std::exit(1);
@@ -123,29 +103,25 @@ RunResult RunOnce(uint32_t conns, uint32_t loops, uint32_t shards,
   }
   const double secs = sw.ElapsedSec();
 
-  RunResult res;
-  res.poller = server->poller_name();
   uint64_t total = 0;
   for (uint64_t o : ops) {
     total += o;
   }
-  res.ops_per_sec = secs > 0 ? static_cast<double>(total) / secs : 0;
 
   auto c = Client::Connect("127.0.0.1", server->port(), &err);
   if (c != nullptr) {
-    res.batch_flushes = StatsField(*c, "batch_flushes=");
     c->Shutdown();
   }
   server->Wait();
-  return res;
+  return secs > 0 ? static_cast<double>(total) / secs : 0;
 }
 
 }  // namespace
 
 int main() {
   std::printf("==============================================================\n");
-  std::printf("Ablation — multi-core I/O plane: conns x loops x shards x "
-              "poller (§7)\n");
+  std::printf("Ablation — multi-core I/O plane: conns x loops x shards "
+              "(§7)\n");
   std::printf("pipeline %u, 50/50 SET/GET; ops/s aggregated over conns\n",
               kPipeline);
   std::printf("JNVM_BENCH_SCALE=%g  hw_threads=%u\n", BenchScale(),
@@ -155,40 +131,23 @@ int main() {
   const uint64_t keys = Scaled(4'000);
   const uint64_t rounds = Scaled(200);
 
-  std::vector<std::string> pollers = {"epoll"};
-  if (IoUringSupported()) {
-    pollers.push_back("uring");
-  } else {
-    std::printf("(io_uring unavailable: uring rows skipped, Poller::Create "
-                "would fall back to epoll)\n");
-  }
-
-  double base = 0;  // conns=8 loops=1 shards=4 epoll row
-  std::printf("\n%-7s %6s %6s %7s %12s %8s %14s\n", "poller", "conns",
-              "loops", "shards", "ops/s", "scale", "batch_flushes");
-  for (const std::string& poller : pollers) {
-    for (uint32_t shards : {1u, 4u}) {
-      for (uint32_t loops : {1u, 2u, 4u}) {
-        for (uint32_t conns : {2u, 8u}) {
-          const RunResult r =
-              RunOnce(conns, loops, shards, poller, keys, rounds);
-          if (base == 0) {
-            base = r.ops_per_sec;
-          }
-          std::printf("%-7s %6u %6u %7u %11.1fK %7.2fx %14llu%s\n",
-                      r.poller.c_str(), conns, loops, shards,
-                      r.ops_per_sec / 1e3,
-                      base > 0 ? r.ops_per_sec / base : 0.0,
-                      static_cast<unsigned long long>(r.batch_flushes),
-                      r.poller != poller ? "  (fallback!)" : "");
+  double base = 0;  // first row: conns=2 loops=1 shards=1
+  std::printf("\n%6s %6s %7s %12s %8s\n", "conns", "loops", "shards",
+              "ops/s", "scale");
+  for (uint32_t shards : {1u, 4u}) {
+    for (uint32_t loops : {1u, 2u, 4u}) {
+      for (uint32_t conns : {2u, 8u}) {
+        const double ops_per_sec = RunOnce(conns, loops, shards, keys, rounds);
+        if (base == 0) {
+          base = ops_per_sec;
         }
+        std::printf("%6u %6u %7u %11.1fK %7.2fx\n", conns, loops, shards,
+                    ops_per_sec / 1e3, base > 0 ? ops_per_sec / base : 0.0);
       }
     }
   }
   std::printf(
       "\n(scale is relative to the first row. The loops dimension should\n"
-      "climb with available cores; batch_flushes > 0 on uring rows proves\n"
-      "the batched-SENDMSG flush path carried traffic. A `(fallback!)`\n"
-      "marker means the requested poller was unavailable at runtime.)\n");
+      "climb with available cores.)\n");
   return 0;
 }

@@ -1,144 +1,91 @@
-// Classic readiness backends: epoll on Linux, poll(2) everywhere. Moved out
-// of server.cc when the loop pool landed so all three backends (this file
-// plus poller_uring.cc) share one interface and one factory.
 #include "src/server/poller.h"
 
 #include <poll.h>
-
-#include <cerrno>
-#include <unordered_map>
-
-#ifdef __linux__
 #include <sys/epoll.h>
 #include <unistd.h>
-#endif
+
+#include <cerrno>
 
 namespace jnvm::server {
 
-namespace {
+Poller::Poller(bool use_poll)
+    : use_poll_(use_poll), epfd_(use_poll ? -1 : epoll_create1(0)) {}
 
-class ClassicPoller final : public Poller {
- public:
-  explicit ClassicPoller(bool use_epoll) {
-#ifdef __linux__
-    if (use_epoll) {
-      epfd_ = epoll_create1(0);
-      epoll_ = epfd_ >= 0;
-    }
-#else
-    (void)use_epoll;
-#endif
+Poller::~Poller() {
+  if (epfd_ >= 0) {
+    ::close(epfd_);
   }
-
-  ~ClassicPoller() override {
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      ::close(epfd_);
-    }
-#endif
-  }
-
-  const char* name() const override { return epoll_ ? "epoll" : "poll"; }
-
-  void Watch(int fd, bool want_read, bool want_write) override {
-    const uint8_t mask = (want_read ? 1u : 0u) | (want_write ? 2u : 0u);
-    const auto it = fds_.find(fd);
-    const bool known = it != fds_.end();
-    if (known && it->second == mask) {
-      return;
-    }
-    fds_[fd] = mask;
-#ifdef __linux__
-    if (epoll_) {
-      epoll_event ev{};
-      ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-      ev.data.fd = fd;
-      epoll_ctl(epfd_, known ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd, &ev);
-    }
-#endif
-  }
-
-  void Forget(int fd) override {
-    fds_.erase(fd);
-#ifdef __linux__
-    if (epoll_) {
-      epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-    }
-#endif
-  }
-
-  void Wait(std::vector<Event>* out, int timeout_ms) override {
-    out->clear();
-#ifdef __linux__
-    if (epoll_) {
-      epoll_event evs[64];
-      int n;
-      do {
-        n = epoll_wait(epfd_, evs, 64, timeout_ms);
-      } while (n < 0 && errno == EINTR);  // signal: not a lost round
-      for (int i = 0; i < n; ++i) {
-        Event e;
-        e.fd = evs[i].data.fd;
-        e.readable = (evs[i].events & (EPOLLIN | EPOLLHUP)) != 0;
-        e.writable = (evs[i].events & EPOLLOUT) != 0;
-        e.error = (evs[i].events & EPOLLERR) != 0;
-        out->push_back(e);
-      }
-      return;
-    }
-#endif
-    std::vector<pollfd> pfds;
-    pfds.reserve(fds_.size());
-    for (const auto& [fd, mask] : fds_) {
-      pollfd p{};
-      p.fd = fd;
-      p.events = static_cast<short>(((mask & 1u) != 0 ? POLLIN : 0) |
-                                    ((mask & 2u) != 0 ? POLLOUT : 0));
-      pfds.push_back(p);
-    }
-    int n;
-    do {
-      n = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    } while (n < 0 && errno == EINTR);  // signal: not a lost round
-    if (n <= 0) {
-      return;
-    }
-    for (const pollfd& p : pfds) {
-      if (p.revents == 0) {
-        continue;
-      }
-      Event e;
-      e.fd = p.fd;
-      e.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
-      out->push_back(e);
-    }
-  }
-
- private:
-  bool epoll_ = false;
-#ifdef __linux__
-  int epfd_ = -1;
-#endif
-  std::unordered_map<int, uint8_t> fds_;  // fd -> interest mask (1=r, 2=w)
-};
-
-}  // namespace
-
-std::unique_ptr<Poller> MakeClassicPoller(bool use_epoll) {
-  return std::make_unique<ClassicPoller>(use_epoll);
 }
 
-std::unique_ptr<Poller> Poller::Create(PollerKind kind) {
-  if (kind == PollerKind::kUring) {
-    auto p = MakeUringPoller();
-    if (p != nullptr) {
-      return p;
-    }
-    kind = PollerKind::kEpoll;  // runtime fallback: kernel lacks io_uring
+void Poller::Watch(int fd, bool want_read, bool want_write) {
+  const uint8_t mask = (want_read ? 1u : 0u) | (want_write ? 2u : 0u);
+  const auto it = fds_.find(fd);
+  const bool known = it != fds_.end();
+  if (known && it->second == mask) {
+    return;
   }
-  return MakeClassicPoller(kind == PollerKind::kEpoll);
+  fds_[fd] = mask;
+  if (use_poll_) {
+    return;  // Wait builds its pollfd array from fds_
+  }
+  epoll_event ev{};
+  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  epoll_ctl(epfd_, known ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd, &ev);
+}
+
+void Poller::Forget(int fd) {
+  fds_.erase(fd);
+  if (!use_poll_) {
+    epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
+  }
+}
+
+void Poller::Wait(std::vector<Event>* out, int timeout_ms) {
+  out->clear();
+  if (!use_poll_) {
+    epoll_event evs[64];
+    int n;
+    do {
+      n = epoll_wait(epfd_, evs, 64, timeout_ms);
+    } while (n < 0 && errno == EINTR);  // signal: not a lost round
+    for (int i = 0; i < n; ++i) {
+      Event e;
+      e.fd = evs[i].data.fd;
+      e.readable = (evs[i].events & (EPOLLIN | EPOLLHUP)) != 0;
+      e.writable = (evs[i].events & EPOLLOUT) != 0;
+      e.error = (evs[i].events & EPOLLERR) != 0;
+      out->push_back(e);
+    }
+    return;
+  }
+  std::vector<pollfd> pfds;
+  pfds.reserve(fds_.size());
+  for (const auto& [fd, mask] : fds_) {
+    pollfd p{};
+    p.fd = fd;
+    p.events = static_cast<short>(((mask & 1u) != 0 ? POLLIN : 0) |
+                                  ((mask & 2u) != 0 ? POLLOUT : 0));
+    pfds.push_back(p);
+  }
+  int n;
+  do {
+    n = ::poll(pfds.data(), pfds.size(), timeout_ms);
+  } while (n < 0 && errno == EINTR);  // signal: not a lost round
+  if (n <= 0) {
+    return;
+  }
+  for (const pollfd& p : pfds) {
+    if (p.revents == 0) {
+      continue;
+    }
+    Event e;
+    e.fd = p.fd;
+    e.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
+    e.writable = (p.revents & POLLOUT) != 0;
+    e.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
+    out->push_back(e);
+  }
 }
 
 }  // namespace jnvm::server

@@ -1,34 +1,16 @@
-// Event-loop readiness backend (DESIGN.md §7). Three implementations sit
-// behind this interface:
-//   * epoll   — the Linux default (edge of nothing: level-triggered);
-//   * poll    — portable fallback, also forced by tests so both ready paths
-//               stay exercised on one platform;
-//   * uring   — io_uring: readiness via one-shot POLL_ADD SQEs re-armed per
-//               Wait, all arms/cancels batched into a single io_uring_enter,
-//               plus a batched-writev path (WritevBatch) that maps the
-//               chunked output queue of N dirty connections onto N SENDMSG
-//               SQEs submitted and reaped in one syscall.
-// Each Server event loop owns one Poller instance; a Poller is never shared
-// across threads. Create() resolves the requested kind at runtime: asking
-// for uring on a kernel without io_uring support falls back to epoll and
-// reports the substitution through name() (STATS shows the poller actually
-// in use — the CI fallback probe asserts on it).
+// Event-loop readiness (DESIGN.md §7): each Server event loop holds one
+// Poller and never shares it across threads. It is a level-triggered epoll
+// set; ServerOptions::force_poll swaps in poll(2) over the same interest
+// table, so the e2e suites keep a second readiness path running beside
+// epoll.
 #ifndef JNVM_SRC_SERVER_POLLER_H_
 #define JNVM_SRC_SERVER_POLLER_H_
 
-#include <sys/uio.h>
-
 #include <cstdint>
-#include <memory>
+#include <unordered_map>
 #include <vector>
 
 namespace jnvm::server {
-
-enum class PollerKind {
-  kEpoll,
-  kPoll,
-  kUring,
-};
 
 class Poller {
  public:
@@ -39,52 +21,32 @@ class Poller {
     bool error = false;
   };
 
-  // One connection's scatter-gather flush in a WritevBatch: `iov`/`niov`
-  // describe the pending chunks, `nsent` comes back as the byte count the
-  // kernel accepted (or -errno). Buffers must stay valid across the call —
-  // WritevBatch is synchronous (every SQE is reaped before it returns), so
-  // ordinary stack/queue lifetime is enough.
-  struct WriteOp {
-    int fd = -1;
-    struct iovec* iov = nullptr;
-    int niov = 0;
-    ssize_t nsent = 0;  // out: >=0 bytes accepted, or -errno
-  };
+  // `use_poll`: block in poll(2) instead of epoll_wait.
+  explicit Poller(bool use_poll = false);
+  ~Poller();
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
 
-  virtual ~Poller() = default;
+  // False when epoll_create1 failed (errno says why).
+  bool ok() const { return use_poll_ || epfd_ >= 0; }
 
-  // Declares interest in `fd`. Level-triggered semantics on every backend:
-  // a still-readable fd reports readable on the next Wait even if the
-  // previous round did not consume it. Read interest is a parameter so a
-  // connection under shard backpressure can stop watching readable
-  // (read-pause) and let the kernel buffer the client's pipeline.
-  virtual void Watch(int fd, bool want_read, bool want_write) = 0;
-  virtual void Forget(int fd) = 0;
-  virtual void Wait(std::vector<Event>* out, int timeout_ms) = 0;
+  // Declares interest in `fd`. Level-triggered: a still-readable fd reports
+  // readable on the next Wait even if the previous round did not consume
+  // it. Read interest is a parameter so a connection under shard
+  // backpressure can stop watching readable (read-pause) and let the kernel
+  // buffer the client's pipeline. An unchanged interest costs no syscall.
+  void Watch(int fd, bool want_read, bool want_write);
+  // Drops `fd` from the set; call it before closing the fd.
+  void Forget(int fd);
+  // Blocks for up to `timeout_ms` and replaces *out with the ready fds (at
+  // most 64 per epoll_wait). A signal (EINTR) is retried, not reported.
+  void Wait(std::vector<Event>* out, int timeout_ms);
 
-  // Flushes `n` connections' output queues in one submission when the
-  // backend supports it (io_uring: N SENDMSG SQEs, one io_uring_enter,
-  // MSG_DONTWAIT so a full socket completes -EAGAIN instead of parking the
-  // loop). Returns false when unsupported — the caller falls back to one
-  // writev(2) per connection.
-  virtual bool WritevBatch(WriteOp* /*ops*/, size_t /*n*/) { return false; }
-
-  // "epoll" | "poll" | "uring" — the backend actually running, after any
-  // runtime fallback.
-  virtual const char* name() const = 0;
-
-  // Builds the requested backend, falling back uring → epoll (and, off
-  // Linux, epoll → poll) when the kernel lacks support. Never fails.
-  static std::unique_ptr<Poller> Create(PollerKind kind);
+ private:
+  const bool use_poll_;
+  int epfd_ = -1;
+  std::unordered_map<int, uint8_t> fds_;  // fd -> interest mask (1=r, 2=w)
 };
-
-// True when io_uring_setup succeeds on this kernel (used by tests and the
-// CI probe to decide whether `uring` runs natively or falls back).
-bool IoUringSupported();
-
-// Internal constructors (poller.cc / poller_uring.cc).
-std::unique_ptr<Poller> MakeClassicPoller(bool use_epoll);
-std::unique_ptr<Poller> MakeUringPoller();  // nullptr when unsupported
 
 }  // namespace jnvm::server
 

@@ -48,14 +48,17 @@ void RespParser::Compact() {
   }
 }
 
-bool RespParser::TakeLine(std::string_view* line) {
+RespParser::Status RespParser::TakeLine(std::string_view* line,
+                                        std::string* error) {
   const size_t eol = buf_.find("\r\n", consumed_);
   if (eol == std::string::npos) {
-    return false;
+    return buffered_bytes() > kMaxHeaderLine
+               ? Fail(error, "header line exceeds length limit")
+               : Status::kNeedMore;
   }
   *line = std::string_view(buf_).substr(consumed_, eol - consumed_);
   consumed_ = eol + 2;
-  return true;
+  return Status::kCommand;
 }
 
 RespParser::Status RespParser::Fail(std::string* error, const std::string& msg) {
@@ -75,8 +78,8 @@ RespParser::Status RespParser::Next(std::vector<std::string>* args,
                                        : "parser in error state");
       case Stage::kArrayHeader: {
         std::string_view line;
-        if (!TakeLine(&line)) {
-          return Status::kNeedMore;
+        if (const Status st = TakeLine(&line, error); st != Status::kCommand) {
+          return st;
         }
         if (line.empty() || line[0] != '*') {
           return Fail(error, "expected array header '*'");
@@ -96,8 +99,8 @@ RespParser::Status RespParser::Next(std::vector<std::string>* args,
       }
       case Stage::kBulkHeader: {
         std::string_view line;
-        if (!TakeLine(&line)) {
-          return Status::kNeedMore;
+        if (const Status st = TakeLine(&line, error); st != Status::kCommand) {
+          return st;
         }
         if (line.empty() || line[0] != '$') {
           return Fail(error, "expected bulk header '$'");

@@ -24,6 +24,10 @@ namespace jnvm::server {
 // other connections are unaffected.
 inline constexpr uint64_t kMaxArgs = 1024;
 inline constexpr uint64_t kMaxBulkBytes = 16ull << 20;
+// Longest legal `*N` / `$N` header line: type byte, 19 digits, CRLF. More
+// unconsumed bytes than this with no CRLF is a protocol error, so a peer
+// streaming bytes with no line end costs one scan, not one per read.
+inline constexpr size_t kMaxHeaderLine = 1 + 19 + 2;
 
 class RespParser {
  public:
@@ -58,8 +62,10 @@ class RespParser {
   enum class Stage { kArrayHeader, kBulkHeader, kBulkBody, kBroken };
 
   Status Fail(std::string* error, const std::string& msg);
-  // Reads a CRLF-terminated line starting at consumed_; false = need more.
-  bool TakeLine(std::string_view* line);
+  // Reads a CRLF-terminated line starting at consumed_: kCommand with the
+  // line in *line, kNeedMore while no CRLF is buffered, kError once the
+  // unconsumed bytes exceed kMaxHeaderLine without one.
+  Status TakeLine(std::string_view* line, std::string* error);
   void Compact();
 
   std::string buf_;

@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -136,22 +135,6 @@ std::unique_ptr<Server> Server::Start(const ServerOptions& opts,
     }
     return nullptr;
   }
-  PollerKind kind = PollerKind::kEpoll;
-  if (opts.poller == "poll") {
-    kind = PollerKind::kPoll;
-  } else if (opts.poller == "uring") {
-    kind = PollerKind::kUring;
-  } else if (opts.poller.empty() ? opts.force_poll : opts.poller != "epoll") {
-    if (opts.poller.empty()) {
-      kind = PollerKind::kPoll;  // legacy force_poll spelling
-    } else {
-      if (error != nullptr) {
-        *error = "bad poller '" + opts.poller + "' (epoll|poll|uring)";
-      }
-      return nullptr;
-    }
-  }
-
   auto s = std::unique_ptr<Server>(new Server());
   s->opts_ = opts;
   s->opts_.loops = std::min(std::max(opts.loops, 1u), 64u);
@@ -171,7 +154,10 @@ std::unique_ptr<Server> Server::Start(const ServerOptions& opts,
 
   const uint32_t nloops = s->opts_.loops;
   for (uint32_t i = 0; i < nloops; ++i) {
-    auto lp = std::make_unique<Loop>();
+    auto lp = std::make_unique<Loop>(opts.force_poll);
+    if (!lp->poller.ok()) {
+      return fail("epoll_create1");
+    }
     lp->index = i;
     lp->runs.resize(opts.nshards);
     s->loops_.push_back(std::move(lp));
@@ -182,31 +168,20 @@ std::unique_ptr<Server> Server::Start(const ServerOptions& opts,
   if (::inet_pton(AF_INET, opts.host.c_str(), &addr.sin_addr) != 1) {
     return fail("inet_pton(" + opts.host + ")");
   }
-  // Opens one listener. `want_reuseport` failing to stick is reported via
-  // *rp_ok so the caller can fall back to hand-off mode instead of dying.
-  auto open_listener = [&](uint16_t port, bool want_reuseport,
-                           bool* rp_ok) -> int {
+  // Opens one bound, listening, non-blocking socket; -1 (errno set) when
+  // any step fails, SO_REUSEPORT included.
+  auto open_listener = [&](uint16_t port, bool reuseport) -> int {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) {
       return -1;
     }
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (want_reuseport) {
-      bool ok = false;
-#ifdef SO_REUSEPORT
-      ok = ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) == 0;
-#endif
-      if (rp_ok != nullptr) {
-        *rp_ok = ok;
-      }
-      if (!ok) {
-        return fd;  // caller decides: single-listener hand-off still works
-      }
-    }
     sockaddr_in a = addr;
     a.sin_port = htons(port);
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&a), sizeof(a)) != 0 ||
+    if ((reuseport &&
+         ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) ||
+        ::bind(fd, reinterpret_cast<sockaddr*>(&a), sizeof(a)) != 0 ||
         ::listen(fd, 128) != 0) {
       ::close(fd);
       return -1;
@@ -215,51 +190,26 @@ std::unique_ptr<Server> Server::Start(const ServerOptions& opts,
     return fd;
   };
 
-  // A pool wants one SO_REUSEPORT listener per loop so the kernel spreads
-  // accepts; when the kernel (or the options) say no, loop 0 accepts alone
-  // and hands fds off round-robin (AcceptPending → fd_inbox).
-  bool want_rp = s->opts_.reuseport && nloops > 1;
-  bool rp_ok = false;
-  const int fd0 = open_listener(opts.port, want_rp, &rp_ok);
+  // A pool gives every loop its own SO_REUSEPORT listener so the kernel
+  // spreads accepts; in hand-off mode loop 0 accepts alone and deals fds
+  // round-robin (AcceptPending → fd_inbox).
+  s->handoff_ = nloops > 1 && !s->opts_.reuseport;
+  const bool reuseport = nloops > 1 && !s->handoff_;
+  const int fd0 = open_listener(opts.port, reuseport);
   if (fd0 < 0) {
     return fail("bind");
-  }
-  if (want_rp && !rp_ok) {
-    want_rp = false;
-    // The socket exists but was never bound; bind it plainly.
-    sockaddr_in a = addr;
-    a.sin_port = htons(opts.port);
-    if (::bind(fd0, reinterpret_cast<sockaddr*>(&a), sizeof(a)) != 0 ||
-        ::listen(fd0, 128) != 0) {
-      ::close(fd0);
-      return fail("bind");
-    }
-    SetNonBlocking(fd0);
   }
   s->loops_[0]->listen_fd = fd0;
   socklen_t alen = sizeof(addr);
   ::getsockname(fd0, reinterpret_cast<sockaddr*>(&addr), &alen);
   s->port_ = ntohs(addr.sin_port);
-  if (want_rp) {
-    for (uint32_t i = 1; i < nloops; ++i) {
-      bool ok = false;
-      const int fd = open_listener(s->port_, /*want_reuseport=*/true, &ok);
-      if (fd < 0 || !ok) {
-        // Runtime fallback: tear the extra listeners down, loop 0 accepts
-        // for everyone.
-        if (fd >= 0) {
-          ::close(fd);
-        }
-        for (uint32_t j = 1; j < i; ++j) {
-          ::close(s->loops_[j]->listen_fd);
-          s->loops_[j]->listen_fd = -1;
-        }
-        break;
-      }
-      s->loops_[i]->listen_fd = fd;
+  for (uint32_t i = 1; reuseport && i < nloops; ++i) {
+    const int fd = open_listener(s->port_, /*reuseport=*/true);
+    if (fd < 0) {
+      return fail("bind");
     }
+    s->loops_[i]->listen_fd = fd;
   }
-  s->handoff_ = nloops > 1 && s->loops_[1]->listen_fd < 0;
 
   for (auto& lp : s->loops_) {
     int pipefd[2];
@@ -270,11 +220,10 @@ std::unique_ptr<Server> Server::Start(const ServerOptions& opts,
     lp->wake_w = pipefd[1];
     SetNonBlocking(lp->wake_r);
     SetNonBlocking(lp->wake_w);
-    lp->poller = Poller::Create(kind);
     if (lp->listen_fd >= 0) {
-      lp->poller->Watch(lp->listen_fd, true, false);
+      lp->poller.Watch(lp->listen_fd, true, false);
     }
-    lp->poller->Watch(lp->wake_r, true, false);
+    lp->poller.Watch(lp->wake_r, true, false);
   }
 
   if (opts.cluster) {
@@ -356,10 +305,6 @@ bool Server::AnyShardRecovered() const {
     }
   }
   return false;
-}
-
-const char* Server::poller_name() const {
-  return loops_.empty() ? "none" : loops_[0]->poller->name();
 }
 
 void Server::Wait() {
@@ -449,7 +394,7 @@ void Server::OnCompletions(std::vector<Completion>& batch) {
 void Server::EventLoop(Loop& lp) {
   std::vector<Poller::Event> events;
   for (;;) {
-    lp.poller->Wait(&events, 100);
+    lp.poller.Wait(&events, 100);
     // External shutdown request (RequestShutdown / ~Server): exactly one
     // loop claims coordination; the rest follow the phase variable.
     if (shutdown_requested_.load(std::memory_order_acquire) &&
@@ -579,7 +524,7 @@ void Server::RegisterConn(Loop& lp, int fd) {
              (lp.next_conn++ & ((1ull << kLoopShift) - 1));
   conn->parser.set_max_buffer(opts_.max_conn_in_bytes);
   lp.by_fd[fd] = conn->id;
-  lp.poller->Watch(fd, true, false);
+  lp.poller.Watch(fd, true, false);
   Bump(lp.counters.accepted);
   lp.counters.open_conns.fetch_add(1, std::memory_order_relaxed);
   lp.conns.emplace(conn->id, std::move(conn));
@@ -608,7 +553,7 @@ void Server::CloseConn(Loop& lp, uint64_t id) {
   for (auto& sh : shards_) {
     sh->Unsubscribe(id);  // no-op unless `id` held a REPLSYNC stream
   }
-  lp.poller->Forget(it->second->fd);
+  lp.poller.Forget(it->second->fd);
   lp.by_fd.erase(it->second->fd);
   ::close(it->second->fd);
   lp.conns.erase(it);
@@ -716,13 +661,13 @@ void Server::HandleWritable(Loop& lp, Conn& conn) {
       continue;  // interrupted by a signal, not a socket failure
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      lp.poller->Watch(conn.fd, !conn.paused && !lp.intake_stopped, true);
+      lp.poller.Watch(conn.fd, !conn.paused && !lp.intake_stopped, true);
       return;
     }
     CloseConn(lp, conn.id);
     return;
   }
-  lp.poller->Watch(conn.fd, !conn.paused && !lp.intake_stopped, false);
+  lp.poller.Watch(conn.fd, !conn.paused && !lp.intake_stopped, false);
   if (conn.closing && conn.inflight == 0 && conn.replies.empty()) {
     CloseConn(lp, conn.id);
   }
@@ -733,7 +678,7 @@ void Server::PauseReads(Loop& lp, Conn& conn) {
     return;
   }
   conn.paused = true;
-  lp.poller->Watch(conn.fd, false, conn.WantsWrite());
+  lp.poller.Watch(conn.fd, false, conn.WantsWrite());
   lp.stalled_conns.push_back(conn.id);
 }
 
@@ -823,7 +768,7 @@ void Server::RetryStalled(Loop& lp) {
     }
     // Drained: resume reading and the commands buffered before the pause.
     conn.paused = false;
-    lp.poller->Watch(conn.fd, true, conn.WantsWrite());
+    lp.poller.Watch(conn.fd, true, conn.WantsWrite());
     ProcessInput(lp, conn);
     if (lp.exiting || lp.conns.find(id) == lp.conns.end()) {
       continue;
@@ -1310,7 +1255,7 @@ bool Server::Dispatch(Loop& lp, Conn& conn, std::vector<std::string>& args) {
   }
   if (cmd == "STATS") {
     std::string r;
-    AppendBulk(&r, BuildStats(lp));
+    AppendBulk(&r, BuildStats());
     CompleteInline(conn, seq, std::move(r));
     return true;
   }
@@ -1904,9 +1849,8 @@ void Server::DrainCompletions(Loop& lp) {
   }
   // Flushes are deferred to the end of the round: every completion a
   // connection receives in this drain lands in its chunk queue first, then
-  // one writev (or, on io_uring, one batched submission for the whole dirty
-  // set) ships them all — N sealed batches fanning out to a subscriber cost
-  // one syscall, not N.
+  // one writev ships them all — N sealed batches fanning out to a
+  // subscriber cost one syscall, not N.
   std::vector<uint64_t> dirty;
   const auto mark_dirty = [&dirty](Conn& conn) {
     if (!conn.flush_pending) {
@@ -1961,57 +1905,7 @@ void Server::DrainCompletions(Loop& lp) {
   RetryTxnPending(lp);
 }
 
-void Server::FlushDirty(Loop& lp, std::vector<uint64_t>& dirty) {
-  if (dirty.empty()) {
-    return;
-  }
-  // Capability probe: only the io_uring backend accepts a batch. On it, the
-  // whole dirty set ships as one submission (N SENDMSG SQEs, one
-  // io_uring_enter); leftovers — partial sends, -EAGAIN, errors — fall
-  // through to the per-connection path below, which re-arms POLLOUT and
-  // does the closing bookkeeping.
-  static constexpr size_t kFlushIovecs = 64;
-  if (lp.poller->WritevBatch(nullptr, 0) && dirty.size() > 1) {
-    std::vector<std::array<struct iovec, kFlushIovecs>> iovs(dirty.size());
-    std::vector<Poller::WriteOp> ops;
-    std::vector<uint64_t> op_ids;
-    ops.reserve(dirty.size());
-    op_ids.reserve(dirty.size());
-    for (size_t i = 0; i < dirty.size(); ++i) {
-      const auto it = lp.conns.find(dirty[i]);
-      if (it == lp.conns.end() || !it->second->WantsWrite()) {
-        continue;
-      }
-      Conn& conn = *it->second;
-      Poller::WriteOp op;
-      op.fd = conn.fd;
-      op.iov = iovs[i].data();
-      op.niov = static_cast<int>(conn.BuildIovecs(iovs[i].data(), kFlushIovecs));
-      ops.push_back(op);
-      op_ids.push_back(conn.id);
-    }
-    if (!ops.empty()) {
-      lp.poller->WritevBatch(ops.data(), ops.size());
-      Bump(lp.counters.batch_flushes);
-      bool any = false;
-      for (size_t i = 0; i < ops.size(); ++i) {
-        if (ops[i].nsent <= 0) {
-          continue;  // -EAGAIN/-EINTR/error: HandleWritable resolves below
-        }
-        any = true;
-        const auto it = lp.conns.find(op_ids[i]);
-        if (it == lp.conns.end()) {
-          continue;
-        }
-        Bump(lp.counters.flushed_bytes, static_cast<uint64_t>(ops[i].nsent));
-        Bump(lp.counters.flush_chunks, static_cast<uint64_t>(ops[i].niov));
-        it->second->ConsumeOut(static_cast<size_t>(ops[i].nsent));
-      }
-      if (any) {
-        Bump(lp.counters.flush_syscalls);
-      }
-    }
-  }
+void Server::FlushDirty(Loop& lp, const std::vector<uint64_t>& dirty) {
   for (const uint64_t id : dirty) {
     const auto it = lp.conns.find(id);
     if (it == lp.conns.end()) {
@@ -2031,7 +1925,7 @@ bool Server::EnforceOutCap(Loop& lp, Conn& conn) {
   return true;
 }
 
-std::string Server::BuildStats(Loop& lp) {
+std::string Server::BuildStats() {
   std::string out;
   char line[512];
   // Counters are per-loop (each slot written by one thread, read here
@@ -2039,7 +1933,7 @@ std::string Server::BuildStats(Loop& lp) {
   // or loses increments under --loops > 1.
   uint64_t conns = 0, accepted = 0, commands = 0, proto_errs = 0;
   uint64_t in_ovf = 0, out_ovf = 0, fsys = 0, fbytes = 0, fchunks = 0;
-  uint64_t bflush = 0, frefs = 0, fbytes_ref = 0, moved = 0;
+  uint64_t frefs = 0, fbytes_ref = 0, moved = 0;
   for (const auto& l : loops_) {
     const LoopCounters& c = l->counters;
     conns += Rd(c.open_conns);
@@ -2051,17 +1945,16 @@ std::string Server::BuildStats(Loop& lp) {
     fsys += Rd(c.flush_syscalls);
     fbytes += Rd(c.flushed_bytes);
     fchunks += Rd(c.flush_chunks);
-    bflush += Rd(c.batch_flushes);
     frefs += Rd(c.frame_refs);
     fbytes_ref += Rd(c.frame_bytes);
     moved += Rd(c.moved_replies);
   }
   std::snprintf(line, sizeof(line),
-                "server: shards=%zu batch=%u backend=%s poller=%s loops=%zu "
+                "server: shards=%zu batch=%u backend=%s loops=%zu "
                 "conns=%llu accepted=%llu commands=%llu protocol_errors=%llu "
                 "in_overflows=%llu out_overflows=%llu\n",
                 shards_.size(), opts_.shard.batch, opts_.shard.backend.c_str(),
-                lp.poller->name(), loops_.size(),
+                loops_.size(),
                 static_cast<unsigned long long>(conns),
                 static_cast<unsigned long long>(accepted),
                 static_cast<unsigned long long>(commands),
@@ -2073,13 +1966,12 @@ std::string Server::BuildStats(Loop& lp) {
   const uint64_t cpf100 = fsys == 0 ? 0 : fchunks * 100 / fsys;
   std::snprintf(line, sizeof(line),
                 "output: flush_syscalls=%llu flushed_bytes=%llu "
-                "chunks_per_flush=%llu.%02llu batch_flushes=%llu "
+                "chunks_per_flush=%llu.%02llu "
                 "frame_refs=%llu frame_bytes=%llu\n",
                 static_cast<unsigned long long>(fsys),
                 static_cast<unsigned long long>(fbytes),
                 static_cast<unsigned long long>(cpf100 / 100),
                 static_cast<unsigned long long>(cpf100 % 100),
-                static_cast<unsigned long long>(bflush),
                 static_cast<unsigned long long>(frefs),
                 static_cast<unsigned long long>(fbytes_ref));
   out += line;
@@ -2323,14 +2215,14 @@ void Server::StopIntake(Loop& lp) {
   }
   lp.intake_stopped = true;
   if (lp.listen_fd >= 0) {
-    lp.poller->Forget(lp.listen_fd);
+    lp.poller.Forget(lp.listen_fd);
     ::close(lp.listen_fd);
     lp.listen_fd = -1;
   }
   // Stop watching readable on every connection: unread pipelines stay in
   // the kernel buffers. Write interest stays — pending replies still flush.
   for (auto& [id, conn] : lp.conns) {
-    lp.poller->Watch(conn->fd, false, conn->WantsWrite());
+    lp.poller.Watch(conn->fd, false, conn->WantsWrite());
   }
   // Hand-off fds that raced the stop are closed, not registered.
   {

@@ -2,12 +2,12 @@
 //
 // Threading model: a pool of event-loop threads (ServerOptions::loops, default
 // 1) and one worker thread per shard (src/server/shard.h). Each loop owns a
-// SO_REUSEPORT listener (or, where the kernel lacks it, loop 0 accepts and
-// hands fds off round-robin through per-loop inboxes), and a connection is
-// pinned to its accepting loop for life — all of its socket I/O, parsing and
-// reply assembly happen on that one thread, so per-connection state needs no
-// locks. Replies are delivered in per-connection command order
-// (src/server/conn.h).
+// SO_REUSEPORT listener (or, with ServerOptions::reuseport off, loop 0
+// accepts and hands fds off round-robin through per-loop inboxes), and a
+// connection is pinned to its accepting loop for life — all of its socket
+// I/O, parsing and reply assembly happen on that one thread, so
+// per-connection state needs no locks. Replies are delivered in
+// per-connection command order (src/server/conn.h).
 //
 // The loop ↔ shard hand-off is batched both ways. Loop → shard: Dispatch
 // appends each plain GET/SET/DEL/TOUCH/HSET to a per-shard run, and
@@ -78,10 +78,9 @@
 // follower (-READONLY to client writes) and pulls those commands from the
 // primary itself via repl::ReplClient.
 //
-// Readiness backends (src/server/poller.h): epoll (Linux default), poll(2)
-// (portable / forced by tests), io_uring (--poller=uring; one-shot POLL_ADD
-// arms batched into a single io_uring_enter per round, plus batched SENDMSG
-// flushing — falls back to epoll at runtime when the kernel lacks io_uring).
+// Readiness (src/server/poller.h): every loop blocks in its own
+// level-triggered epoll set (poll(2) under ServerOptions::force_poll) and
+// flushes each dirty connection with one writev.
 #ifndef JNVM_SRC_SERVER_SERVER_H_
 #define JNVM_SRC_SERVER_SERVER_H_
 
@@ -111,18 +110,16 @@ struct ServerOptions {
   uint16_t port = 0;  // 0 = ephemeral; read back with port()
   uint32_t nshards = 4;
   ShardOptions shard;
-  // Event-loop threads (clamped to [1, 64]). Each owns a listener and the
-  // connections it accepts.
+  // Event-loop threads (clamped to [1, 64]), each blocking in its own epoll
+  // set. Each owns a listener and the connections it accepts.
   uint32_t loops = 1;
-  // Readiness backend: "" (epoll, honoring force_poll), "epoll", "poll",
-  // or "uring" (io_uring, falling back to epoll when the kernel lacks it).
-  std::string poller;
-  // Force the poll(2) event loop even where epoll is available (legacy
-  // spelling of poller="poll"; ignored when `poller` is set).
+  // Run every loop on poll(2) instead of epoll. The e2e suites run both so
+  // the two readiness paths stay exercised on one platform.
   bool force_poll = false;
-  // When false, skip SO_REUSEPORT and run the accept-and-hand-off fallback
-  // (loop 0 accepts, fds round-robin to the pool) — the path kernels
-  // without SO_REUSEPORT take; exposed so tests cover it everywhere.
+  // With loops > 1: true gives every loop its own SO_REUSEPORT listener;
+  // false runs hand-off mode (loop 0 owns the only listener and deals
+  // accepted fds round-robin to the pool), whose deterministic connection
+  // placement the multi-loop tests rely on.
   bool reuseport = true;
   // "host:port" of a primary to replicate from. Non-empty = replica role:
   // every shard opens as a follower (shard.follower and shard.repl_log are
@@ -176,7 +173,6 @@ struct LoopCounters {
   std::atomic<uint64_t> flush_syscalls{0};  // flush syscalls that accepted bytes
   std::atomic<uint64_t> flushed_bytes{0};   // bytes the kernel accepted
   std::atomic<uint64_t> flush_chunks{0};    // chunks submitted across those
-  std::atomic<uint64_t> batch_flushes{0};   // WritevBatch submissions (uring)
   std::atomic<uint64_t> frame_refs{0};      // shared frames enqueued by ref
   std::atomic<uint64_t> frame_bytes{0};     // logical bytes those refs share
   std::atomic<uint64_t> moved_replies{0};   // cluster -MOVED redirects
@@ -202,8 +198,6 @@ class Server : public CompletionSink {
   cluster::Migrator* migrator() { return migrator_.get(); }
   // Checkpoint driver (always present). Tests and tools.
   ckpt::CheckpointRunner* ckpt_runner() { return ckpt_runner_.get(); }
-  // The readiness backend actually running (after any runtime fallback).
-  const char* poller_name() const;
 
   // Blocks until every event loop exits (SHUTDOWN command or
   // RequestShutdown).
@@ -225,10 +219,12 @@ class Server : public CompletionSink {
   // loop; cross-thread traffic enters only through `mu`-guarded queues
   // (completions, handed-off fds) plus the wake pipe.
   struct Loop {
+    explicit Loop(bool use_poll) : poller(use_poll) {}
+
     uint32_t index = 0;
     int listen_fd = -1;  // own SO_REUSEPORT listener; -1 in hand-off mode
     int wake_r = -1, wake_w = -1;  // self-pipe
-    std::unique_ptr<Poller> poller;
+    Poller poller;
     std::thread thread;
 
     std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns;
@@ -319,9 +315,9 @@ class Server : public CompletionSink {
   void FailStalledRequest(Loop& lp, Conn& conn, Request& req);
   void CompleteInline(Conn& conn, uint64_t seq, std::string&& reply);
   void DrainCompletions(Loop& lp);
-  // Ships every connection DrainCompletions dirtied: one writev each, or —
-  // on io_uring — one batched submission for the whole set.
-  void FlushDirty(Loop& lp, std::vector<uint64_t>& dirty);
+  // Ships every connection DrainCompletions dirtied: one HandleWritable
+  // (writev) each.
+  void FlushDirty(Loop& lp, const std::vector<uint64_t>& dirty);
   // ---- Transactions (DESIGN.md §9) ---------------------------------------
   // EXEC: turns the connection's queued MULTI buffer into a TxnState and
   // launches phase 1 (kTxnExec single-shard / kTxnPrepare per participant).
@@ -342,7 +338,7 @@ class Server : public CompletionSink {
   // Disconnects a connection whose pending output exceeded the cap.
   // True when the connection was evicted (iterators into conns invalid).
   bool EnforceOutCap(Loop& lp, Conn& conn);
-  std::string BuildStats(Loop& lp);
+  std::string BuildStats();
   // Two-phase cross-loop shutdown, run by the coordinating loop: phase 1
   // stops intake on every loop (accepts + new input) and barriers on it, so
   // no loop can submit new work while the shards quiesce; phase 2 releases
@@ -358,8 +354,9 @@ class Server : public CompletionSink {
   ServerOptions opts_;
   uint16_t port_ = 0;
   std::vector<std::unique_ptr<Loop>> loops_;
-  // Hand-off mode (a pool of loops, one listener on loop 0): decided once in
-  // Start, because StopIntake rewrites listen_fd on other loops' threads.
+  // Hand-off mode (a pool of loops, reuseport off, one listener on loop 0):
+  // decided once in Start, because StopIntake rewrites listen_fd on other
+  // loops' threads.
   bool handoff_ = false;
   uint32_t rr_next_ = 0;  // hand-off round-robin cursor (loop 0 only)
   std::vector<std::unique_ptr<Shard>> shards_;

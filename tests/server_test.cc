@@ -33,9 +33,7 @@ namespace {
 // The e2e suites run under every loops × poller combination: the single-loop
 // shapes that existed before the multi-core I/O plane, plus 2- and 4-loop
 // pools where connections land on different loops and completions cross
-// threads. io_uring joins the grid only when the kernel actually supports it
-// (Poller::Create falls back to epoll otherwise, which would make the
-// poller= stats assertion lie).
+// threads, each on epoll and on the poll(2) fallback (force_poll).
 //
 // gtest prints a param that has no PrintTo as its raw bytes, and
 // gtest_discover_tests copies that print into each CTest name. So IoParam
@@ -49,13 +47,9 @@ struct IoParam {
 };
 
 std::vector<IoParam> IoParams() {
-  std::vector<const char*> pollers = {"epoll", "poll"};
-  if (IoUringSupported()) {
-    pollers.push_back("uring");
-  }
   std::vector<IoParam> out;
   for (uint32_t loops : {1u, 2u, 4u}) {
-    for (const char* p : pollers) {
+    for (const char* p : {"epoll", "poll"}) {
       IoParam param{loops, {}};
       std::snprintf(param.poller, sizeof(param.poller), "%s", p);
       out.push_back(param);
@@ -66,6 +60,16 @@ std::vector<IoParam> IoParams() {
 
 std::string IoParamName(const ::testing::TestParamInfo<IoParam>& info) {
   return "loops" + std::to_string(info.param.loops) + "_" + info.param.poller;
+}
+
+// One numeric `name=value` field of a STATS reply (0 when absent).
+uint64_t StatsField(Client& c, const char* field) {
+  const std::string stats = c.Stats().value_or("");
+  const size_t pos = stats.find(field);
+  if (pos == std::string::npos) {
+    return 0;
+  }
+  return std::strtoull(stats.c_str() + pos + std::strlen(field), nullptr, 10);
 }
 
 // ---- RESP command parser ----------------------------------------------------
@@ -183,6 +187,38 @@ TEST(RespParser, OversizedFrameRejected) {
   const std::string wide = "*99999\r\n";  // > kMaxArgs
   p2.Feed(wide.data(), wide.size());
   EXPECT_EQ(p2.Next(&args, &err), RespParser::Status::kError);
+}
+
+TEST(RespParser, EndlessHeaderLineIsProtocolError) {
+  // A header that never reaches CRLF fails on the first Next once it is
+  // longer than any legal header, instead of being rescanned on every read
+  // until the input cap trips.
+  RespParser p;
+  const std::string wire = "*" + std::string(64 << 10, '7');
+  p.Feed(wire.data(), wire.size());
+  std::vector<std::string> args;
+  std::string err;
+  EXPECT_EQ(p.Next(&args, &err), RespParser::Status::kError);
+  EXPECT_FALSE(p.overflowed());
+  EXPECT_FALSE(err.empty());
+}
+
+TEST(RespParser, LongestLegalHeaderParsesByteByByte) {
+  // Type byte + 19 digits + CRLF is exactly kMaxHeaderLine: fed one byte at
+  // a time it waits for more until the LF, then its length is parsed (the
+  // value is over kMaxArgs, so the array limit, not the line bound, fails).
+  const std::string header = "*" + std::string(19, '9') + "\r\n";
+  ASSERT_EQ(header.size(), kMaxHeaderLine);
+  RespParser p;
+  std::vector<std::string> args;
+  std::string err;
+  for (size_t i = 0; i + 1 < header.size(); ++i) {
+    p.Feed(&header[i], 1);
+    ASSERT_EQ(p.Next(&args, &err), RespParser::Status::kNeedMore) << i;
+  }
+  p.Feed(&header.back(), 1);
+  EXPECT_EQ(p.Next(&args, &err), RespParser::Status::kError);
+  EXPECT_EQ(err, "array exceeds argument limit");
 }
 
 TEST(RespReplyParser, AllReplyTypes) {
@@ -452,6 +488,91 @@ TEST(ConnOutQueue, CompleteMovesStagedReplies) {
   EXPECT_EQ(c.next_to_send, 2u);
 }
 
+// ---- Event-loop readiness (src/server/poller.h) ----------------------------
+// The readiness set every loop blocks in, driven directly on a socketpair,
+// on epoll and on the poll(2) fallback.
+
+class PollerTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(ep_.ok());
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sv_), 0);
+  }
+  void TearDown() override {
+    for (const int fd : sv_) {
+      if (fd >= 0) {
+        ::close(fd);
+      }
+    }
+  }
+  // What one Wait reports for `fd` (all flags false when it is not listed).
+  Poller::Event WaitFor(int fd, int timeout_ms = 50) {
+    std::vector<Poller::Event> evs;
+    ep_.Wait(&evs, timeout_ms);
+    for (const Poller::Event& e : evs) {
+      if (e.fd == fd) {
+        return e;
+      }
+    }
+    return Poller::Event{};
+  }
+
+  Poller ep_{GetParam()};
+  int sv_[2] = {-1, -1};
+};
+
+TEST_P(PollerTest, UnconsumedInputIsReportedAgain) {
+  ep_.Watch(sv_[0], true, false);
+  ASSERT_EQ(::write(sv_[1], "x", 1), 1);
+  EXPECT_TRUE(WaitFor(sv_[0]).readable);
+  EXPECT_TRUE(WaitFor(sv_[0]).readable);  // level-triggered: still unread
+  char c;
+  ASSERT_EQ(::read(sv_[0], &c, 1), 1);
+  EXPECT_FALSE(WaitFor(sv_[0], 0).readable);
+}
+
+TEST_P(PollerTest, DroppingReadInterestPausesReadableReports) {
+  // PauseReads watches (fd, false, wants_write): buffered input must go
+  // quiet while pending output still reports writable.
+  ep_.Watch(sv_[0], true, false);
+  ASSERT_EQ(::write(sv_[1], "x", 1), 1);
+  EXPECT_TRUE(WaitFor(sv_[0]).readable);
+  ep_.Watch(sv_[0], false, false);
+  EXPECT_FALSE(WaitFor(sv_[0]).readable);
+  ep_.Watch(sv_[0], false, true);
+  const Poller::Event e = WaitFor(sv_[0]);
+  EXPECT_TRUE(e.writable);
+  EXPECT_FALSE(e.readable);
+  ep_.Watch(sv_[0], true, false);  // resume: the byte is still there
+  EXPECT_TRUE(WaitFor(sv_[0]).readable);
+}
+
+TEST_P(PollerTest, ForgetThenCloseProducesNoEvent) {
+  ep_.Watch(sv_[0], true, true);
+  ASSERT_EQ(::write(sv_[1], "x", 1), 1);
+  const int fd = sv_[0];
+  ep_.Forget(fd);
+  ::close(fd);
+  sv_[0] = -1;
+  std::vector<Poller::Event> evs;
+  ep_.Wait(&evs, 50);
+  EXPECT_TRUE(evs.empty());
+
+  // The fd number is free for reuse, and a new socket under it is watched
+  // afresh (Forget cleared the cached interest mask).
+  int again[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, again), 0);
+  ep_.Watch(again[0], true, true);
+  EXPECT_TRUE(WaitFor(again[0]).writable);
+  ::close(again[0]);
+  ::close(again[1]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Pollers, PollerTest, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "poll" : "epoll";
+                         });
+
 // ---- End-to-end loopback ----------------------------------------------------
 
 class ServerE2E : public ::testing::TestWithParam<IoParam> {
@@ -461,7 +582,7 @@ class ServerE2E : public ::testing::TestWithParam<IoParam> {
     o.nshards = 4;
     o.shard = SmallShard(16);
     o.loops = GetParam().loops;
-    o.poller = GetParam().poller;
+    o.force_poll = std::strcmp(GetParam().poller, "poll") == 0;
     return o;
   }
 };
@@ -489,8 +610,6 @@ TEST_P(ServerE2E, CommandsRoundtrip) {
   const auto stats = c->Stats();
   ASSERT_TRUE(stats.has_value());
   EXPECT_NE(stats->find("shard0:"), std::string::npos);
-  EXPECT_NE(stats->find(std::string("poller=") + GetParam().poller),
-            std::string::npos);
   EXPECT_NE(stats->find("loops=" + std::to_string(GetParam().loops)),
             std::string::npos);
 
@@ -752,9 +871,23 @@ TEST_P(ServerE2E, MalformedWireFramesGetErrorAndClose) {
     EXPECT_EQ(got.rfind("-ERR", 0), 0u) << c.name << ": " << got;
   }
 
-  // After every abuse the server still serves well-formed traffic.
   auto good = Client::Connect("127.0.0.1", server->port(), &err);
   ASSERT_NE(good, nullptr) << err;
+  // A header line that never ends is refused as soon as it outgrows the
+  // longest legal header: a protocol error, far below the input cap.
+  const uint64_t proto0 = StatsField(*good, "protocol_errors=");
+  const uint64_t ovf0 = StatsField(*good, "in_overflows=");
+  {
+    RawConn raw(server->port());
+    ASSERT_TRUE(raw.ok());
+    ASSERT_TRUE(raw.Send("*" + std::string(4096, '1')));
+    const std::string got = raw.ReadUntilClose();
+    EXPECT_EQ(got.rfind("-ERR protocol error", 0), 0u) << got;
+  }
+  EXPECT_EQ(StatsField(*good, "protocol_errors="), proto0 + 1);
+  EXPECT_EQ(StatsField(*good, "in_overflows="), ovf0);
+
+  // After every abuse the server still serves well-formed traffic.
   ASSERT_TRUE(good->Set("still", "alive"));
   EXPECT_EQ(good->Get("still").value_or("?"), "alive");
   EXPECT_TRUE(good->Shutdown());
@@ -964,15 +1097,11 @@ TEST(MultiLoop, NoLostWakeupAcrossLoopsAndShards) {
   // reply for good. 4 shards post batches to 3 loops at once while 8
   // connections keep 64 commands each in flight; a fixed command count
   // must finish far inside the deadline under every poller.
-  std::vector<std::string> pollers = {"epoll", "poll"};
-  if (IoUringSupported()) {
-    pollers.push_back("uring");
-  }
   constexpr int kConns = 8, kDepth = 64, kRounds = 25;
-  for (const std::string& poller : pollers) {
+  for (const std::string poller : {"epoll", "poll"}) {
     SCOPED_TRACE(poller);
     ServerOptions opts = MultiLoopOpts(3);
-    opts.poller = poller;
+    opts.force_poll = poller == "poll";
     std::string err;
     auto server = Server::Start(opts, &err);
     ASSERT_NE(server, nullptr) << err;
@@ -1027,7 +1156,7 @@ class HardeningE2E : public ::testing::TestWithParam<IoParam> {
  protected:
   void ApplyIo(ServerOptions* o) {
     o->loops = GetParam().loops;
-    o->poller = GetParam().poller;
+    o->force_poll = std::strcmp(GetParam().poller, "poll") == 0;
   }
   static std::string ShardKey(uint32_t shard, uint32_t nshards, int salt = 0) {
     for (int i = salt;; ++i) {
@@ -1036,14 +1165,6 @@ class HardeningE2E : public ::testing::TestWithParam<IoParam> {
         return k;
       }
     }
-  }
-  static uint64_t StatsField(Client& c, const char* field) {
-    const std::string stats = c.Stats().value_or("");
-    const size_t pos = stats.find(field);
-    if (pos == std::string::npos) {
-      return 0;
-    }
-    return std::strtoull(stats.c_str() + pos + std::strlen(field), nullptr, 10);
   }
 };
 

@@ -2,8 +2,8 @@
 //
 //   jnvm_server [--port=N] [--host=A] [--shards=N] [--batch=N]
 //               [--backend=jpdt|jpfa] [--device-mb=N] [--image-base=PATH]
-//               [--queue=N] [--loops=N] [--poller=epoll|poll|uring] [--poll]
-//               [--no-reuseport] [--optane] [--fence-ns=N]
+//               [--queue=N] [--loops=N] [--no-reuseport] [--optane]
+//               [--fence-ns=N]
 //               [--replica-of=HOST:PORT] [--no-repl-log]
 //               [--repl-segment=BYTES] [--repl-retention=SEGS]
 //               [--wait-acks=K] [--wait-timeout-ms=N] [--apply-batch=N]
@@ -12,13 +12,9 @@
 //               [--cluster] [--cluster-self=N] [--cluster-announce=H:P]
 //               [--cluster-dax=PATH | --cluster-image=PATH] [--dax-base=PATH]
 //
-// --loops=N runs N event-loop threads, each with its own SO_REUSEPORT
-// listener (or an accept-and-hand-off fallback; --no-reuseport forces it);
-// connections pin to their accepting loop. --poller picks the readiness
-// backend: epoll (default), poll, or uring (io_uring with batched SENDMSG
-// flushing; falls back to epoll at runtime when the kernel lacks io_uring —
-// STATS `poller=` shows the backend actually in use). --poll is the legacy
-// spelling of --poller=poll.
+// --loops=N runs N epoll event-loop threads, each with its own SO_REUSEPORT
+// listener; connections pin to their accepting loop. --no-reuseport instead
+// has loop 0 accept every connection and hand the fds off round-robin.
 // With --image-base, shard images are saved on SHUTDOWN and recovered on
 // the next start — kill the server with SHUTDOWN (or SIGINT/SIGTERM),
 // restart it with the same --image-base, and the data is back.
@@ -139,12 +135,8 @@ int main(int argc, char** argv) {
       opts.shard.dax_base = v;
     } else if (FlagValue(argv[i], "--loops", &v)) {
       opts.loops = static_cast<uint32_t>(std::atoi(v));
-    } else if (FlagValue(argv[i], "--poller", &v)) {
-      opts.poller = v;
     } else if (std::strcmp(argv[i], "--no-reuseport") == 0) {
       opts.reuseport = false;
-    } else if (std::strcmp(argv[i], "--poll") == 0) {
-      opts.force_poll = true;
     } else if (std::strcmp(argv[i], "--optane") == 0) {
       opts.shard.optane_latency = true;
     } else if (FlagValue(argv[i], "--fence-ns", &v)) {
@@ -166,10 +158,10 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, OnSignal);
 
   std::printf("jnvm_server: listening on %s:%u (%u shard(s), backend=%s, "
-              "batch=%u, loops=%u, poller=%s%s%s)%s\n",
+              "batch=%u, loops=%u%s%s)%s\n",
               opts.host.c_str(), server->port(), opts.nshards,
               opts.shard.backend.c_str(), opts.shard.batch,
-              opts.loops == 0 ? 1 : opts.loops, server->poller_name(),
+              opts.loops == 0 ? 1 : opts.loops,
               opts.replica_of.empty() ? "" : ", replica of ",
               opts.replica_of.c_str(),
               server->AnyShardRecovered() ? " [recovered]" : "");
