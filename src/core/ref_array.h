@@ -36,6 +36,13 @@ class PRefArray final : public PObject {
     PwbField(SlotOff(i), sizeof(uint64_t));
   }
 
+  // Cells [first, first + n) into out[0, n): one device read per block the
+  // range spans instead of one per cell (mirror rebuilds at recovery).
+  void GetRawRange(uint64_t first, uint64_t n, nvm::Offset* out) const {
+    JNVM_DCHECK(first + n <= capacity());
+    ReadBytesField(SlotOff(first), out, n * sizeof(uint64_t));
+  }
+
   Handle<PObject> Get(uint64_t i) const { return ReadPObject(SlotOff(i)); }
   void Set(uint64_t i, const PObject* obj) {
     SetRaw(i, obj == nullptr ? 0 : obj->addr());

@@ -1,5 +1,6 @@
 #include "src/crashcheck/workloads.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -12,9 +13,8 @@
 #include "src/pdt/pstring.h"
 #include "src/repl/frame.h"
 #include "src/repl/repl_log.h"
+#include "src/server/kv_map.h"
 #include "src/server/shard.h"
-#include "src/store/jpdt_backend.h"
-#include "src/store/kvstore.h"
 #include "src/txn/txn.h"
 
 namespace jnvm::crashcheck {
@@ -55,6 +55,39 @@ std::string ValueFor(size_t i, bool padded) {
 std::string PrintString(const Handle<PObject>& v) {
   auto s = std::static_pointer_cast<pdt::PString>(v);
   return s == nullptr ? std::string("<null>") : s->Str();
+}
+
+// The shard store exactly as Shard::Open binds it; the tiny initial
+// capacity makes scripts sweep slot-array growth as well.
+Handle<server::KvMap> OpenStore(JnvmRuntime& rt, const std::string& root) {
+  return server::KvMap::OpenOrCreate(rt, root, /*initial_capacity=*/4);
+}
+
+std::string FirstField(const store::Record& r) {
+  return r.fields.empty() ? std::string("<empty>") : r.fields[0];
+}
+
+// Key → first field of every record, read through the store's mirror (what
+// a recovered shard serves). The mirror must equal the durable slot cells
+// (what survived the crash); any difference is reported.
+std::map<std::string, std::string> StoreValues(server::KvMap& store,
+                                               std::vector<std::string>* out) {
+  std::map<std::string, std::string> mirror;
+  store.ForEachRecordIf({}, [&](const std::string& k, const store::Record& r) {
+    mirror[k] = FirstField(r);
+  });
+  std::map<std::string, std::string> cells;
+  store.ForEachPersisted([&](const std::string& k, const store::Record& r) {
+    if (!cells.emplace(k, FirstField(r)).second) {
+      out->push_back("key " + k + " published in two slot cells");
+    }
+  });
+  if (mirror != cells) {
+    out->push_back("store mirror (" + std::to_string(mirror.size()) +
+                   " keys) disagrees with the durable slot cells (" +
+                   std::to_string(cells.size()) + " keys)");
+  }
+  return mirror;
 }
 
 // ---- Map workload (hash / tree / skip-list / long-key adapters) -------------
@@ -182,6 +215,250 @@ class MapWorkload final : public Workload {
   std::string name_;
   std::vector<Op> script_;
   Handle<MapT> map_;
+};
+
+// ---- Shard-store workload (server::KvMap, DESIGN.md §7) ----------------------
+//
+// The map the server's shards run: one KvEntry per key, key and fields in
+// one block chain. The script mixes inserts, replaces with one- and
+// multi-block values and one- and two-field records, removes, and HSETs
+// that fit their cell (in place, inside a failure-atomic block) or overflow
+// it (the entry is replaced); twelve keys over an initial capacity of 4
+// force two slot-array swaps. Even ops run per-op durable (every command
+// fences on its own, frees are immediate); odd ops are 2–3 commands under
+// group commit (elided durability fences, one Psync, then the deferred
+// frees) — Shard::WorkerLoop's batch.
+//
+// Oracle: committed ops fully visible; each command of the in-flight op
+// independently old-or-new (keys are distinct within an op); the mirror
+// equals the durable slot cells; nothing else.
+
+class KvMapWorkload final : public Workload {
+ public:
+  struct Cmd {
+    enum class Kind : uint8_t { kPut, kRemove, kHset };
+    Kind kind = Kind::kPut;
+    std::string key;
+    store::Record record;  // kPut
+    uint32_t field = 0;    // kHset
+    std::string value;     // kHset
+  };
+  struct Op {
+    bool group = false;
+    std::vector<Cmd> cmds;
+  };
+
+  KvMapWorkload(uint64_t seed, size_t n) : name_("map-kv") {
+    Xorshift rng(seed);
+    std::map<std::string, store::Record> live;
+    std::map<std::string, uint32_t> cap;  // field capacity KvMap gives it
+    const auto capacity_of = [](const store::Record& r) {
+      size_t c = 1;
+      for (const std::string& f : r.fields) {
+        c = std::max(c, f.size());
+      }
+      return static_cast<uint32_t>(c);
+    };
+    script_.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      Op op;
+      op.group = i % 2 == 1;
+      const uint32_t ncmds = op.group ? 2 + static_cast<uint32_t>(rng.NextBelow(2)) : 1;
+      std::set<std::string> used;
+      for (uint32_t j = 0; j < ncmds; ++j) {
+        std::string key;
+        do {
+          key = "k" + std::to_string(rng.NextBelow(12));
+        } while (used.count(key) != 0);
+        used.insert(key);
+        const std::string tag = std::to_string(i) + "." + std::to_string(j);
+        Cmd c;
+        c.key = key;
+        const auto it = live.find(key);
+        const uint64_t pick = rng.NextBelow(8);
+        if (it != live.end() && pick < 2) {
+          c.kind = Cmd::Kind::kRemove;
+          live.erase(it);
+        } else if (it != live.end() && pick < 5) {
+          c.kind = Cmd::Kind::kHset;
+          c.field = static_cast<uint32_t>(rng.NextBelow(it->second.fields.size()));
+          c.value = "h" + tag;
+          if (rng.NextBelow(2) == 0 && c.value.size() <= cap[key]) {
+            c.value.resize(c.value.size() + rng.NextBelow(cap[key] - c.value.size() + 1), 'y');
+          } else {
+            // Overflow: longer than the cell, sometimes by several blocks.
+            c.value.resize(cap[key] + 1 + (rng.NextBelow(2) == 0 ? 0 : 400), 'z');
+          }
+          it->second.fields[c.field] = c.value;
+          if (c.value.size() > cap[key]) {
+            cap[key] = capacity_of(it->second);
+          }
+        } else {
+          c.kind = Cmd::Kind::kPut;
+          const uint64_t nfields = 1 + rng.NextBelow(2);
+          for (uint64_t f = 0; f < nfields; ++f) {
+            std::string v = "v" + tag + "." + std::to_string(f);
+            if (rng.NextBelow(4) == 0) {
+              v.resize(600, 'x');  // a three-block entry
+            }
+            c.record.fields.push_back(std::move(v));
+          }
+          live[key] = c.record;
+          cap[key] = capacity_of(c.record);
+        }
+        op.cmds.push_back(std::move(c));
+      }
+      script_.push_back(std::move(op));
+    }
+  }
+
+  const std::string& name() const override { return name_; }
+  size_t op_count() const override { return script_.size(); }
+
+  void Setup(JnvmRuntime& rt) override {
+    map_ = OpenStore(rt, "kv");
+    rt.Psync();
+  }
+
+  void RunOp(JnvmRuntime& rt, size_t i) override {
+    const Op& op = script_[i];
+    if (op.group) {
+      rt.heap().BeginGroupCommit();
+    }
+    for (const Cmd& c : op.cmds) {
+      switch (c.kind) {
+        case Cmd::Kind::kPut:
+          map_->Put(c.key, c.record);
+          break;
+        case Cmd::Kind::kRemove:
+          map_->Remove(c.key);
+          break;
+        case Cmd::Kind::kHset:
+          map_->UpdateField(c.key, c.field, c.value);
+          break;
+      }
+    }
+    if (op.group) {
+      rt.heap().EndGroupCommit();
+      rt.Psync();
+      rt.DrainGroupFrees();
+    }
+  }
+
+  void Check(JnvmRuntime& rt, const CrashCut& cut,
+             std::vector<std::string>* out) override {
+    if (!rt.root().Exists("kv")) {
+      out->push_back("store root binding lost");
+      return;
+    }
+    auto m = OpenStore(rt, "kv");
+    std::map<std::string, store::Record> got;
+    m->ForEachRecordIf({}, [&](const std::string& k, const store::Record& r) {
+      got[k] = r;
+    });
+    std::map<std::string, store::Record> durable;
+    m->ForEachPersisted([&](const std::string& k, const store::Record& r) {
+      if (!durable.emplace(k, r).second) {
+        out->push_back("key " + k + " published in two slot cells");
+      }
+    });
+    if (durable != got) {
+      out->push_back("mirror diverges from the persistent cells");
+    }
+    if (m->Size() != got.size()) {
+      out->push_back("Size() != number of mirrored entries");
+    }
+
+    std::map<std::string, store::Record> expected;
+    for (size_t i = 0; i < cut.committed; ++i) {
+      for (const Cmd& c : script_[i].cmds) {
+        Apply(c, &expected);
+      }
+    }
+    const Op* inflight = cut.in_flight.has_value() && *cut.in_flight < script_.size()
+                             ? &script_[*cut.in_flight]
+                             : nullptr;
+    const auto inflight_cmd = [&](const std::string& k) -> const Cmd* {
+      if (inflight != nullptr) {
+        for (const Cmd& c : inflight->cmds) {
+          if (c.key == k) {
+            return &c;
+          }
+        }
+      }
+      return nullptr;
+    };
+    for (const auto& [k, r] : expected) {
+      if (inflight_cmd(k) != nullptr) {
+        continue;  // judged below
+      }
+      const auto it = got.find(k);
+      if (it == got.end()) {
+        out->push_back("committed key " + k + " lost");
+      } else if (it->second != r) {
+        out->push_back("committed key " + k + " has '" + Print(it->second) +
+                       "', want '" + Print(r) + "'");
+      }
+    }
+    for (const auto& [k, r] : got) {
+      if (expected.count(k) == 0 && inflight_cmd(k) == nullptr) {
+        out->push_back("phantom key " + k);
+      }
+    }
+    if (inflight == nullptr) {
+      return;
+    }
+    for (const Cmd& c : inflight->cmds) {
+      std::map<std::string, store::Record> after = expected;
+      Apply(c, &after);
+      const auto it = got.find(c.key);
+      const auto old_it = expected.find(c.key);
+      const auto new_it = after.find(c.key);
+      if (it == got.end()) {
+        if (old_it != expected.end() && new_it != after.end()) {
+          out->push_back("in-flight op erased pre-existing key " + c.key);
+        }
+        continue;
+      }
+      const bool is_old = old_it != expected.end() && it->second == old_it->second;
+      const bool is_new = new_it != after.end() && it->second == new_it->second;
+      if (!is_old && !is_new) {
+        out->push_back("in-flight op left torn record '" + Print(it->second) +
+                       "' for key " + c.key);
+      }
+    }
+  }
+
+ private:
+  static void Apply(const Cmd& c, std::map<std::string, store::Record>* state) {
+    switch (c.kind) {
+      case Cmd::Kind::kPut:
+        (*state)[c.key] = c.record;
+        break;
+      case Cmd::Kind::kRemove:
+        state->erase(c.key);
+        break;
+      case Cmd::Kind::kHset: {
+        const auto it = state->find(c.key);
+        if (it != state->end() && c.field < it->second.fields.size()) {
+          it->second.fields[c.field] = c.value;
+        }
+        break;
+      }
+    }
+  }
+
+  static std::string Print(const store::Record& r) {
+    std::string s;
+    for (size_t i = 0; i < r.fields.size(); ++i) {
+      s += (i == 0 ? "" : "|") + r.fields[i].substr(0, 24);
+    }
+    return s;
+  }
+
+  std::string name_;
+  std::vector<Op> script_;
+  Handle<server::KvMap> map_;
 };
 
 // ---- Set workload (PSet adapter over the hash map) --------------------------
@@ -707,8 +984,7 @@ class ServerWorkload final : public Workload {
   void Setup(JnvmRuntime& rt) override {
     shards_.clear();
     for (uint32_t s = 0; s < kShards; ++s) {
-      shards_.push_back(std::make_unique<store::JpdtBackend>(
-          &rt, RootName(s), /*initial_capacity=*/4));
+      shards_.push_back(OpenStore(rt, RootName(s)));
     }
     rt.Psync();
   }
@@ -716,9 +992,9 @@ class ServerWorkload final : public Workload {
   void RunOp(JnvmRuntime& rt, size_t i) override {
     rt.heap().BeginGroupCommit();
     for (const Cmd& c : script_[i]) {
-      store::Backend* b = shards_[server::ShardFor(c.key, kShards)].get();
+      server::KvMap* b = shards_[server::ShardFor(c.key, kShards)].get();
       if (c.remove) {
-        b->Delete(c.key);
+        b->Remove(c.key);
       } else {
         store::Record r;
         r.fields.push_back(c.value);
@@ -750,21 +1026,18 @@ class ServerWorkload final : public Workload {
 
     std::map<std::string, std::string> got;
     for (uint32_t s = 0; s < kShards; ++s) {
-      auto map = rt.root().GetAs<pdt::PStringHashMap>(RootName(s));
-      if (map == nullptr) {
+      if (!rt.root().Exists(RootName(s))) {
         out->push_back("shard root binding " + RootName(s) + " lost");
         return;
       }
-      map->ForEach([&](const std::string& k, Handle<PObject> v) {
-        auto rec = std::static_pointer_cast<store::PRecord>(v);
-        const store::Record r = rec->ToRecord();
-        got[k] = r.fields.empty() ? std::string("<empty>") : r.fields[0];
+      for (const auto& [k, v] : StoreValues(*OpenStore(rt, RootName(s)), out)) {
+        got[k] = v;
         if (server::ShardFor(k, kShards) != s) {
           out->push_back("key " + k + " found on shard " + std::to_string(s) +
                          ", routed to " +
                          std::to_string(server::ShardFor(k, kShards)));
         }
-      });
+      }
     }
 
     auto inflight_cmd = [&](const std::string& k) -> const Cmd* {
@@ -825,7 +1098,7 @@ class ServerWorkload final : public Workload {
 
   std::string name_;
   std::vector<std::vector<Cmd>> script_;
-  std::vector<std::unique_ptr<store::JpdtBackend>> shards_;
+  std::vector<Handle<server::KvMap>> shards_;
 };
 
 // ---- Replication workloads (DESIGN.md §8) ------------------------------------
@@ -916,8 +1189,7 @@ class ReplWorkload final : public Workload {
     shards_.clear();
     logs_.clear();
     for (uint32_t s = 0; s < kShards; ++s) {
-      shards_.push_back(std::make_unique<store::JpdtBackend>(
-          &rt, StoreRoot(s), /*initial_capacity=*/4));
+      shards_.push_back(OpenStore(rt, StoreRoot(s)));
       logs_.push_back(repl::ReplLog::OpenOrCreate(&rt, LogRoot(s), TinyLog()));
     }
     rt.Psync();
@@ -930,7 +1202,7 @@ class ReplWorkload final : public Workload {
       const uint32_t s = server::ShardFor(c.key, kShards);
       touched[s] = true;
       if (c.remove) {
-        shards_[s]->Delete(c.key);
+        shards_[s]->Remove(c.key);
       } else {
         store::Record r;
         r.fields.push_back(c.value);
@@ -988,8 +1260,7 @@ class ReplWorkload final : public Workload {
       }
       // Redo tail (Shard::Open): re-apply the last retained record so the
       // store lands exactly on the sealed boundary.
-      auto backend = std::make_unique<store::JpdtBackend>(&rt, StoreRoot(s),
-                                                          /*initial_capacity=*/4);
+      auto backend = OpenStore(rt, StoreRoot(s));
       if (!log->empty() && log->Read(log->next_seq() - 1, &payload)) {
         std::vector<repl::ReplOp> rops;
         if (!repl::DecodeBatch(payload, &rops)) {
@@ -1017,10 +1288,7 @@ class ReplWorkload final : public Workload {
       // a sealed in-flight record was forced by the redo above.
       const bool inflight_unsealed = inflight_touches && sealed == c_s;
 
-      std::map<std::string, std::string> got;
-      backend->SnapshotRecords([&](const std::string& k, const store::Record& r) {
-        got[k] = r.fields.empty() ? std::string("<empty>") : r.fields[0];
-      });
+      std::map<std::string, std::string> got = StoreValues(*backend, out);
 
       auto inflight_cmd = [&](const std::string& k) -> const Cmd* {
         if (!inflight_unsealed) {
@@ -1095,14 +1363,14 @@ class ReplWorkload final : public Workload {
     return n;
   }
 
-  static void ApplyOps(store::Backend& b, const std::vector<repl::ReplOp>& rops) {
+  static void ApplyOps(server::KvMap& b, const std::vector<repl::ReplOp>& rops) {
     for (const repl::ReplOp& op : rops) {
       switch (op.kind) {
         case repl::ReplOp::Kind::kPut:
           b.Put(op.key, op.record);
           break;
         case repl::ReplOp::Kind::kDel:
-          b.Delete(op.key);
+          b.Remove(op.key);
           break;
         case repl::ReplOp::Kind::kUpdate:
           b.UpdateField(op.key, op.field, op.value);
@@ -1117,7 +1385,7 @@ class ReplWorkload final : public Workload {
   std::vector<std::vector<Cmd>> script_;
   std::vector<size_t> touches_[kShards];
   std::vector<std::string> frames_[kShards];
-  std::vector<std::unique_ptr<store::JpdtBackend>> shards_;
+  std::vector<Handle<server::KvMap>> shards_;
   std::vector<std::unique_ptr<repl::ReplLog>> logs_;
 };
 
@@ -1218,8 +1486,7 @@ class CkptWorkload final : public Workload {
   size_t op_count() const override { return script_.size(); }
 
   void Setup(JnvmRuntime& rt) override {
-    backend_ = std::make_unique<store::JpdtBackend>(&rt, "store",
-                                                    /*initial_capacity=*/4);
+    backend_ = OpenStore(rt, "store");
     log_ = repl::ReplLog::OpenOrCreate(&rt, "log", TinyLog());
     ckpt::CkptMeta::Class();
     meta_ = std::make_shared<ckpt::CkptMeta>(rt);
@@ -1232,13 +1499,10 @@ class CkptWorkload final : public Workload {
       // The fuzzy walk: snapshot-cursor accounting (no copying — the store
       // IS the image), then the finalize sequence of ExecuteCkpt.
       uint64_t keys = 0, bytes = 0;
-      backend_->SnapshotRecords(
-          [&](const std::string& k, const store::Record& r) {
+      backend_->ForEachRecordIf(
+          {}, [&](const std::string& k, const store::Record& r) {
             ++keys;
-            for (const std::string& f : r.fields) {
-              bytes += f.size();
-            }
-            bytes += k.size();
+            bytes += k.size() + r.TotalBytes();
           });
       rt.heap().BeginGroupCommit();
       rt.Psync();  // every sealed batch's store effects durable before begin
@@ -1254,7 +1518,7 @@ class CkptWorkload final : public Workload {
     rt.heap().BeginGroupCommit();
     for (const Cmd& c : script_[i]) {
       if (c.remove) {
-        backend_->Delete(c.key);
+        backend_->Remove(c.key);
       } else {
         store::Record r;
         r.fields.push_back(c.value);
@@ -1349,8 +1613,7 @@ class CkptWorkload final : public Workload {
 
     // Recovery = image + tail replay from the clamped checkpoint bound
     // (exactly Shard::Open → RedoLogTail).
-    auto backend = std::make_unique<store::JpdtBackend>(&rt, "store",
-                                                        /*initial_capacity=*/4);
+    auto backend = OpenStore(rt, "store");
     const uint64_t replay_from = std::min(
         std::max(meta->BeginSeq(), log->start_seq()), log->next_seq());
     for (uint64_t q = replay_from; q < log->next_seq(); ++q) {
@@ -1367,7 +1630,7 @@ class CkptWorkload final : public Workload {
         if (op.kind == repl::ReplOp::Kind::kPut) {
           backend->Put(op.key, op.record);
         } else if (op.kind == repl::ReplOp::Kind::kDel) {
-          backend->Delete(op.key);
+          backend->Remove(op.key);
         }
       }
     }
@@ -1407,10 +1670,7 @@ class CkptWorkload final : public Workload {
       return nullptr;
     };
 
-    std::map<std::string, std::string> got;
-    backend->SnapshotRecords([&](const std::string& k, const store::Record& r) {
-      got[k] = r.fields.empty() ? std::string("<empty>") : r.fields[0];
-    });
+    std::map<std::string, std::string> got = StoreValues(*backend, out);
     for (const auto& [k, v] : expected) {
       if (inflight_cmd(k) != nullptr) {
         continue;
@@ -1467,7 +1727,7 @@ class CkptWorkload final : public Workload {
   std::vector<uint64_t> ckpt_begin_;       // per ckpt op: the begin it seals
   std::vector<uint64_t> ckpt_walked_keys_;
   std::vector<uint64_t> ckpt_walked_bytes_;
-  std::unique_ptr<store::JpdtBackend> backend_;
+  Handle<server::KvMap> backend_;
   std::unique_ptr<repl::ReplLog> log_;
   Handle<ckpt::CkptMeta> meta_;
 };
@@ -1528,8 +1788,7 @@ class ReplApplyWorkload final : public Workload {
   size_t op_count() const override { return script_.size(); }
 
   void Setup(JnvmRuntime& rt) override {
-    backend_ = std::make_unique<store::JpdtBackend>(&rt, "shard0",
-                                                    /*initial_capacity=*/4);
+    backend_ = OpenStore(rt, "shard0");
     log_ = repl::ReplLog::OpenOrCreate(&rt, "repl0", TinyLog());
     rt.Psync();
   }
@@ -1548,8 +1807,7 @@ class ReplApplyWorkload final : public Workload {
   void Check(JnvmRuntime& rt, const CrashCut& cut,
              std::vector<std::string>* out) override {
     auto log = repl::ReplLog::OpenOrCreate(&rt, "repl0", TinyLog());
-    backend_ = std::make_unique<store::JpdtBackend>(&rt, "shard0",
-                                                    /*initial_capacity=*/4);
+    backend_ = OpenStore(rt, "shard0");
     if (log->needs_snapshot()) {
       out->push_back("log reports needs_snapshot without a snapshot install");
       return;
@@ -1593,10 +1851,7 @@ class ReplApplyWorkload final : public Workload {
         }
       }
     }
-    std::map<std::string, std::string> got;
-    backend_->SnapshotRecords([&](const std::string& k, const store::Record& r) {
-      got[k] = r.fields.empty() ? std::string("<empty>") : r.fields[0];
-    });
+    std::map<std::string, std::string> got = StoreValues(*backend_, out);
     for (const auto& [k, v] : expected) {
       const auto it = got.find(k);
       if (it == got.end()) {
@@ -1628,7 +1883,7 @@ class ReplApplyWorkload final : public Workload {
           backend_->Put(op.key, op.record);
           break;
         case repl::ReplOp::Kind::kDel:
-          backend_->Delete(op.key);
+          backend_->Remove(op.key);
           break;
         case repl::ReplOp::Kind::kUpdate:
           backend_->UpdateField(op.key, op.field, op.value);
@@ -1643,7 +1898,7 @@ class ReplApplyWorkload final : public Workload {
   std::vector<std::vector<ReplWorkload::Cmd>> script_;
   std::vector<std::vector<repl::ReplOp>> ops_;
   std::vector<std::string> frames_;
-  std::unique_ptr<store::JpdtBackend> backend_;
+  Handle<server::KvMap> backend_;
   std::unique_ptr<repl::ReplLog> log_;
 };
 
@@ -1713,8 +1968,7 @@ class WaitWorkload final : public Workload {
   size_t op_count() const override { return script_.size(); }
 
   void Setup(JnvmRuntime& rt) override {
-    backend_ = std::make_unique<store::JpdtBackend>(&rt, "shard0",
-                                                    /*initial_capacity=*/4);
+    backend_ = OpenStore(rt, "shard0");
     log_ = repl::ReplLog::OpenOrCreate(&rt, "repl0", TinyLog());
     rt.Psync();
   }
@@ -1731,8 +1985,7 @@ class WaitWorkload final : public Workload {
   void Check(JnvmRuntime& rt, const CrashCut& cut,
              std::vector<std::string>* out) override {
     auto log = repl::ReplLog::OpenOrCreate(&rt, "repl0", TinyLog());
-    backend_ = std::make_unique<store::JpdtBackend>(&rt, "shard0",
-                                                    /*initial_capacity=*/4);
+    backend_ = OpenStore(rt, "shard0");
     if (log->needs_snapshot()) {
       out->push_back("log reports needs_snapshot without a snapshot install");
       return;
@@ -1788,10 +2041,7 @@ class WaitWorkload final : public Workload {
       }
     }
 
-    std::map<std::string, std::string> got;
-    backend_->SnapshotRecords([&](const std::string& k, const store::Record& r) {
-      got[k] = r.fields.empty() ? std::string("<empty>") : r.fields[0];
-    });
+    std::map<std::string, std::string> got = StoreValues(*backend_, out);
     std::set<std::string> keys;
     for (const auto& [k, v] : expected) keys.insert(k);
     for (const auto& [k, v] : got) keys.insert(k);
@@ -1842,7 +2092,7 @@ class WaitWorkload final : public Workload {
           backend_->Put(op.key, op.record);
           break;
         case repl::ReplOp::Kind::kDel:
-          backend_->Delete(op.key);
+          backend_->Remove(op.key);
           break;
         case repl::ReplOp::Kind::kUpdate:
           backend_->UpdateField(op.key, op.field, op.value);
@@ -1857,7 +2107,7 @@ class WaitWorkload final : public Workload {
   std::vector<std::vector<ReplWorkload::Cmd>> script_;
   std::vector<std::vector<repl::ReplOp>> ops_;
   std::vector<std::string> frames_;
-  std::unique_ptr<store::JpdtBackend> backend_;
+  Handle<server::KvMap> backend_;
   std::unique_ptr<repl::ReplLog> log_;
 };
 
@@ -1912,8 +2162,7 @@ class ReadYourWritesWorkload final : public Workload {
   size_t op_count() const override { return script_.size(); }
 
   void Setup(JnvmRuntime& rt) override {
-    backend_ = std::make_unique<store::JpdtBackend>(&rt, "shard0",
-                                                    /*initial_capacity=*/4);
+    backend_ = OpenStore(rt, "shard0");
     log_ = repl::ReplLog::OpenOrCreate(&rt, "repl0", TinyLog());
     rt.Psync();
   }
@@ -1932,8 +2181,7 @@ class ReadYourWritesWorkload final : public Workload {
   void Check(JnvmRuntime& rt, const CrashCut& cut,
              std::vector<std::string>* out) override {
     auto log = repl::ReplLog::OpenOrCreate(&rt, "repl0", TinyLog());
-    backend_ = std::make_unique<store::JpdtBackend>(&rt, "shard0",
-                                                    /*initial_capacity=*/4);
+    backend_ = OpenStore(rt, "shard0");
     if (log->needs_snapshot()) {
       out->push_back("log reports needs_snapshot without a snapshot install");
       return;
@@ -1971,10 +2219,7 @@ class ReadYourWritesWorkload final : public Workload {
     }
     rt.Psync();
 
-    std::map<std::string, std::string> got;
-    backend_->SnapshotRecords([&](const std::string& k, const store::Record& r) {
-      got[k] = r.fields.empty() ? std::string("<empty>") : r.fields[0];
-    });
+    std::map<std::string, std::string> got = StoreValues(*backend_, out);
 
     // The in-flight record's key (when unsealed) is old-or-new; its seq is
     // above every issuable token, so "old" never violates a session.
@@ -2066,7 +2311,7 @@ class ReadYourWritesWorkload final : public Workload {
   std::string name_;
   std::vector<Op> script_;
   std::vector<std::string> frames_;
-  std::unique_ptr<store::JpdtBackend> backend_;
+  Handle<server::KvMap> backend_;
   std::unique_ptr<repl::ReplLog> log_;
 };
 
@@ -2230,14 +2475,9 @@ class TxnWorkload final : public Workload {
 
   void Setup(JnvmRuntime& rt) override {
     shards_.clear();
-    kvs_.clear();
     logs_.clear();
     for (uint32_t s = 0; s < kShards; ++s) {
-      auto backend = std::make_unique<store::JpdtBackend>(
-          &rt, StoreRoot(s), /*initial_capacity=*/4);
-      kvs_.push_back(std::make_unique<store::KvStore>(backend.get(), nullptr,
-                                                      UncachedStore()));
-      shards_.push_back(std::move(backend));
+      shards_.push_back(OpenStore(rt, StoreRoot(s)));
       logs_.push_back(repl::ReplLog::OpenOrCreate(&rt, LogRoot(s), LogOpts()));
     }
     rt.Psync();
@@ -2268,16 +2508,12 @@ class TxnWorkload final : public Workload {
     const size_t n = txns_.size();
     // Recover each shard exactly like Shard::Open: reopen store + log, scan
     // the records below the tail for txn state, then redo the tail record.
-    std::vector<std::unique_ptr<store::JpdtBackend>> backends;
-    std::vector<std::unique_ptr<store::KvStore>> kvs;
+    std::vector<Handle<server::KvMap>> backends;
     std::vector<std::unique_ptr<repl::ReplLog>> logs;
     std::vector<txn::LogScanResult> scans(kShards);
     std::vector<txn::DecisionIndex> indexes(kShards);
     for (uint32_t s = 0; s < kShards; ++s) {
-      backends.push_back(std::make_unique<store::JpdtBackend>(
-          &rt, StoreRoot(s), /*initial_capacity=*/4));
-      kvs.push_back(std::make_unique<store::KvStore>(backends[s].get(), nullptr,
-                                                     UncachedStore()));
+      backends.push_back(OpenStore(rt, StoreRoot(s)));
       logs.push_back(repl::ReplLog::OpenOrCreate(&rt, LogRoot(s), LogOpts()));
       auto& log = *logs[s];
       if (log.needs_snapshot()) {
@@ -2314,7 +2550,7 @@ class TxnWorkload final : public Workload {
         if (log.Read(log.next_seq() - 1, &payload)) {
           std::vector<repl::ReplOp> ops;
           if (repl::DecodeBatch(payload, &ops)) {
-            txn::ReplayRecordOps(&rt, kvs[s].get(), ops, &scans[s]);
+            txn::ReplayRecordOps(&rt, backends[s].get(), ops, &scans[s]);
           } else {
             out->push_back("shard " + std::to_string(s) +
                            " tail record corrupt");
@@ -2364,7 +2600,7 @@ class TxnWorkload final : public Workload {
         }
         writes = it->second.writes;
       }
-      txn::ApplyStagedWrites(&rt, kvs[a.shard].get(), writes);
+      txn::ApplyStagedWrites(&rt, backends[a.shard].get(), writes);
     }
     rt.Psync();
 
@@ -2395,11 +2631,7 @@ class TxnWorkload final : public Workload {
       }
     }
     for (uint32_t s = 0; s < kShards; ++s) {
-      std::map<std::string, std::string> got;
-      backends[s]->SnapshotRecords(
-          [&](const std::string& k, const store::Record& r) {
-            got[k] = r.fields.empty() ? std::string("<empty>") : r.fields[0];
-          });
+      std::map<std::string, std::string> got = StoreValues(*backends[s], out);
       for (const auto& [k, v] : expected[s]) {
         const auto it = got.find(k);
         if (it == got.end()) {
@@ -2430,12 +2662,6 @@ class TxnWorkload final : public Workload {
     o.max_segments = 8;
     return o;
   }
-  static store::StoreOptions UncachedStore() {
-    store::StoreOptions o;
-    o.cache_ratio = 0.0;
-    o.expected_records = 16;
-    return o;
-  }
   static std::string StoreRoot(uint32_t s) { return "shard" + std::to_string(s); }
   static std::string LogRoot(uint32_t s) { return "txnlog" + std::to_string(s); }
 
@@ -2449,7 +2675,7 @@ class TxnWorkload final : public Workload {
   void ApplyWrites(JnvmRuntime& rt, uint32_t s,
                    const std::vector<repl::ReplOp>& writes) {
     rt.heap().BeginGroupCommit();
-    txn::ApplyStagedWrites(&rt, kvs_[s].get(), writes);
+    txn::ApplyStagedWrites(&rt, shards_[s].get(), writes);
     rt.heap().EndGroupCommit();
     rt.Psync();
     rt.DrainGroupFrees();
@@ -2459,8 +2685,7 @@ class TxnWorkload final : public Workload {
   std::vector<Txn> txns_;
   std::vector<std::string> recs_[kShards];  // per-shard record frames, in order
   std::vector<uint64_t> cum_[kShards];      // records through op i (index i+1)
-  std::vector<std::unique_ptr<store::JpdtBackend>> shards_;
-  std::vector<std::unique_ptr<store::KvStore>> kvs_;
+  std::vector<Handle<server::KvMap>> shards_;
   std::vector<std::unique_ptr<repl::ReplLog>> logs_;
 };
 
@@ -2586,10 +2811,8 @@ class MigrateWorkload final : public Workload {
       JNVM_CHECK(cs->Meet(1, "dst:2", &err));
       JNVM_CHECK(cs->AssignRange(0, cluster::kNumSlots - 1, 0, &err));
     }
-    src_be_ = std::make_unique<store::JpdtBackend>(&rt, "mig.src",
-                                                   /*initial_capacity=*/4);
-    dst_be_ = std::make_unique<store::JpdtBackend>(&rt, "mig.dst",
-                                                   /*initial_capacity=*/4);
+    src_be_ = OpenStore(rt, "mig.src");
+    dst_be_ = OpenStore(rt, "mig.dst");
     rt.Psync();
   }
 
@@ -2600,7 +2823,7 @@ class MigrateWorkload final : public Workload {
       case Kind::kSrcPut:
       case Kind::kDstPut:
       case Kind::kCopy: {
-        store::Backend* b =
+        server::KvMap* b =
             op.kind == Kind::kSrcPut ? src_be_.get() : dst_be_.get();
         rt.heap().BeginGroupCommit();
         store::Record r;
@@ -2764,17 +2987,12 @@ class MigrateWorkload final : public Workload {
   static void CheckSide(JnvmRuntime& rt, const std::string& root,
                         const std::map<std::string, std::string>& want,
                         const Op* inflight, std::vector<std::string>* out) {
-    auto map = rt.root().GetAs<pdt::PStringHashMap>(root);
-    if (map == nullptr) {
+    if (!rt.root().Exists(root)) {
       out->push_back("store root " + root + " lost");
       return;
     }
-    std::map<std::string, std::string> got;
-    map->ForEach([&](const std::string& k, Handle<PObject> v) {
-      auto rec = std::static_pointer_cast<store::PRecord>(v);
-      const store::Record r = rec->ToRecord();
-      got[k] = r.fields.empty() ? std::string("<empty>") : r.fields[0];
-    });
+    const std::map<std::string, std::string> got =
+        StoreValues(*OpenStore(rt, root), out);
     for (const auto& [k, v] : want) {
       if (inflight != nullptr && inflight->key == k) {
         continue;  // judged below
@@ -2814,21 +3032,25 @@ class MigrateWorkload final : public Workload {
   std::vector<Op> script_;
   std::unique_ptr<cluster::ClusterState> src_cs_;
   std::unique_ptr<cluster::ClusterState> dst_cs_;
-  std::unique_ptr<store::JpdtBackend> src_be_;
-  std::unique_ptr<store::JpdtBackend> dst_be_;
+  Handle<server::KvMap> src_be_;
+  Handle<server::KvMap> dst_be_;
 };
 
 }  // namespace
 
 std::vector<std::string> WorkloadKinds() {
-  return {"map-hash", "map-tree",   "map-skip", "map-long", "set",  "array",
-          "string",   "pfa",        "server",   "repl",     "repl-apply",
-          "wait",     "read-your-writes",       "txn",      "migrate",
-          "ckpt"};
+  return {"map-hash", "map-tree",   "map-skip", "map-long", "map-kv", "set",
+          "array",    "string",     "pfa",      "server",   "repl",
+          "repl-apply", "wait",     "read-your-writes",       "txn",
+          "migrate",  "ckpt"};
 }
 
 std::unique_ptr<Workload> MakeWorkload(const std::string& kind,
                                        uint64_t script_seed, size_t op_count) {
+  // Recovery types every live object by its registered class: register the
+  // shard store before any workload opens a heap, not on first use.
+  server::KvMap::Class();
+  server::KvEntry::Class();
   if (kind == "map-hash") {
     return std::make_unique<MapWorkload<pdt::PStringHashMap>>("map-hash",
                                                               script_seed, op_count);
@@ -2844,6 +3066,9 @@ std::unique_ptr<Workload> MakeWorkload(const std::string& kind,
   if (kind == "map-long") {
     return std::make_unique<MapWorkload<pdt::PLongHashMap>>("map-long",
                                                             script_seed, op_count);
+  }
+  if (kind == "map-kv") {
+    return std::make_unique<KvMapWorkload>(script_seed, op_count);
   }
   if (kind == "set") {
     return std::make_unique<SetWorkload>(script_seed, op_count);

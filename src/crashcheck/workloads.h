@@ -19,6 +19,10 @@
 // Durability fine print per adapter (derived from the J-PDT/J-PFA code,
 // §4.1.6, §4.2, §4.3 of the paper):
 //   map/set  — Put/Remove/Add fence before returning: committed ⇒ durable.
+//   map-kv   — the shard store (server::KvMap): even ops are one command
+//              that fences before returning (HSET in place commits a
+//              failure-atomic block); odd ops are a group-commit batch
+//              sealed by one Psync, each command old-or-new when in flight.
 //   pfa      — FaEnd's commit protocol fences: committed ⇒ durable; the
 //              in-flight block is all-or-nothing (§4.2).
 //   string   — RootMap::Put/Remove are failure-atomic: same as pfa.
@@ -88,7 +92,7 @@ class Workload {
 };
 
 // Registered workload kinds: "map-hash", "map-tree", "map-skip",
-// "map-long", "set", "array", "string", "pfa", "server", "repl",
+// "map-long", "map-kv", "set", "array", "string", "pfa", "server", "repl",
 // "repl-apply", "wait", "read-your-writes", "txn", "migrate", "ckpt".
 std::vector<std::string> WorkloadKinds();
 

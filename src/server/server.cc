@@ -28,6 +28,16 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+// writev that reports a peer that already closed as EPIPE instead of
+// raising SIGPIPE, which would kill the whole process with every other
+// connection in it.
+ssize_t WritevNoSignal(int fd, struct iovec* iov, size_t niov) {
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = niov;
+  return ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+}
+
 std::string Upper(std::string_view s) {
   std::string out(s);
   for (char& c : out) {
@@ -122,10 +132,9 @@ std::unique_ptr<Server> Server::Start(const ServerOptions& opts,
     }
     return nullptr;
   };
-  if (opts.nshards == 0 ||
-      (opts.shard.backend != "jpdt" && opts.shard.backend != "jpfa")) {
+  if (opts.nshards == 0) {
     if (error != nullptr) {
-      *error = "bad options: nshards must be > 0, backend jpdt|jpfa";
+      *error = "bad options: nshards must be > 0";
     }
     return nullptr;
   }
@@ -243,7 +252,15 @@ std::unique_ptr<Server> Server::Start(const ServerOptions& opts,
     }
   }
   for (uint32_t i = 0; i < opts.nshards; ++i) {
-    s->shards_.push_back(Shard::Open(s->opts_.shard, i, s.get()));
+    std::string shard_err;
+    auto shard = Shard::Open(s->opts_.shard, i, s.get(), &shard_err);
+    if (shard == nullptr) {
+      if (error != nullptr) {
+        *error = shard_err;
+      }
+      return nullptr;
+    }
+    s->shards_.push_back(std::move(shard));
   }
   if (s->cluster_ != nullptr) {
     std::vector<Shard*> raw;
@@ -649,7 +666,7 @@ void Server::HandleWritable(Loop& lp, Conn& conn) {
   struct iovec iov[kFlushIovecs];
   while (conn.WantsWrite()) {
     const size_t niov = conn.BuildIovecs(iov, kFlushIovecs);
-    const ssize_t n = ::writev(conn.fd, iov, static_cast<int>(niov));
+    const ssize_t n = WritevNoSignal(conn.fd, iov, niov);
     if (n > 0) {
       Bump(lp.counters.flush_syscalls);
       Bump(lp.counters.flushed_bytes, static_cast<uint64_t>(n));
@@ -1950,11 +1967,10 @@ std::string Server::BuildStats() {
     moved += Rd(c.moved_replies);
   }
   std::snprintf(line, sizeof(line),
-                "server: shards=%zu batch=%u backend=%s loops=%zu "
+                "server: shards=%zu batch=%u loops=%zu "
                 "conns=%llu accepted=%llu commands=%llu protocol_errors=%llu "
                 "in_overflows=%llu out_overflows=%llu\n",
-                shards_.size(), opts_.shard.batch, opts_.shard.backend.c_str(),
-                loops_.size(),
+                shards_.size(), opts_.shard.batch, loops_.size(),
                 static_cast<unsigned long long>(conns),
                 static_cast<unsigned long long>(accepted),
                 static_cast<unsigned long long>(commands),
@@ -1997,8 +2013,7 @@ std::string Server::BuildStats() {
         line, sizeof(line),
         "shard%u: records=%llu queue=%llu batches=%llu max_batch=%llu "
         "elided_fences=%llu puts=%llu gets=%llu misses=%llu updates=%llu "
-        "deletes=%llu bytes_w=%llu bytes_r=%llu cache_hits=%llu "
-        "cache_misses=%llu psyncs=%llu pfences=%llu\n",
+        "deletes=%llu bytes_w=%llu bytes_r=%llu psyncs=%llu pfences=%llu\n",
         sh->index(), static_cast<unsigned long long>(s.records),
         static_cast<unsigned long long>(s.queue_depth),
         static_cast<unsigned long long>(s.batches),
@@ -2011,8 +2026,6 @@ std::string Server::BuildStats() {
         static_cast<unsigned long long>(s.ops.deletes),
         static_cast<unsigned long long>(s.ops.bytes_written),
         static_cast<unsigned long long>(s.ops.bytes_read),
-        static_cast<unsigned long long>(s.cache.hits),
-        static_cast<unsigned long long>(s.cache.misses),
         static_cast<unsigned long long>(s.device.psyncs),
         static_cast<unsigned long long>(s.device.pfences));
     out += line;
@@ -2265,7 +2278,7 @@ void Server::FlushAllBestEffort(Loop& lp) {
     int spins = 0;
     while (conn->WantsWrite() && spins < 200) {
       const size_t niov = conn->BuildIovecs(iov, 64);
-      const ssize_t n = ::writev(conn->fd, iov, static_cast<int>(niov));
+      const ssize_t n = WritevNoSignal(conn->fd, iov, niov);
       if (n > 0) {
         Bump(lp.counters.flush_syscalls);
         Bump(lp.counters.flushed_bytes, static_cast<uint64_t>(n));

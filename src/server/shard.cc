@@ -9,9 +9,6 @@
 #include "src/core/integrity.h"
 #include "src/pdt/register_all.h"
 #include "src/server/protocol.h"
-#include "src/store/jpdt_backend.h"
-#include "src/store/jpfa_backend.h"
-#include "src/store/jpfa_map.h"
 #include "src/store/precord.h"
 
 namespace jnvm::server {
@@ -20,7 +17,11 @@ namespace {
 
 // Root-map names — must be stable across restarts so recovery finds the
 // store and the replication log again.
-constexpr char kRootName[] = "server.store";
+constexpr char kRootName[] = "server.kv";
+// Where the previous store layout (a PStringHashMap of PRefPair → PString
+// key + PRecord value, three objects per key) was bound. Open refuses such
+// a heap instead of reading it as a KvMap.
+constexpr char kLegacyRootName[] = "server.store";
 constexpr char kReplRootName[] = "server.repl";
 constexpr char kCkptRootName[] = "server.ckpt";
 
@@ -110,9 +111,8 @@ uint64_t NowMs() { return NowNs() / 1000000ull; }
 }  // namespace
 
 std::unique_ptr<Shard> Shard::Open(const ShardOptions& opts, uint32_t index,
-                                   CompletionSink* sink) {
+                                   CompletionSink* sink, std::string* error) {
   JNVM_CHECK(sink != nullptr);
-  JNVM_CHECK(opts.backend == "jpdt" || opts.backend == "jpfa");
   JNVM_CHECK_MSG(!opts.follower || opts.repl_log,
                  "follower shards need the replication log");
   JNVM_CHECK_MSG(opts.wait_acks == 0 || opts.repl_log,
@@ -128,9 +128,11 @@ std::unique_ptr<Shard> Shard::Open(const ShardOptions& opts, uint32_t index,
   // Recovery resurrects objects by persisted class name: every class that
   // can live on a shard heap must be registered before Open().
   pdt::RegisterStandardClasses();
+  KvMap::Class();
+  KvEntry::Class();
+  // The previous layout's value class: recovery must be able to walk such a
+  // heap before Open can see its root binding and refuse it.
   store::PRecord::Class();
-  store::JpfaEntry::Class();
-  store::JpfaHashMap::Class();
   repl::ReplLogRoot::Class();
   repl::ReplLogSegment::Class();
   ckpt::CkptMeta::Class();
@@ -162,17 +164,18 @@ std::unique_ptr<Shard> Shard::Open(const ShardOptions& opts, uint32_t index,
     s->rt_ = core::JnvmRuntime::Format(s->dev_.get());
   }
 
-  if (opts.backend == "jpdt") {
-    s->backend_ = std::make_unique<store::JpdtBackend>(s->rt_.get(), kRootName,
-                                                       opts.map_capacity);
-  } else {
-    s->backend_ = std::make_unique<store::JpfaBackend>(s->rt_.get(), kRootName,
-                                                       opts.map_capacity);
+  if (s->rt_->root().Exists(kLegacyRootName)) {
+    if (error != nullptr) {
+      *error = "shard " + std::to_string(index) +
+               ": the heap holds the previous store layout (root '" +
+               kLegacyRootName + "', three objects per key); this server keeps "
+               "one KvEntry per key under '" + kRootName +
+               "' and cannot read it - start it on a fresh image or dax path";
+    }
+    s->quiesced_ = true;  // the worker never started: nothing to drain
+    return nullptr;
   }
-  store::StoreOptions sopts;
-  sopts.cache_ratio = 0.0;  // J-NVM backends run uncached (§5.3.1)
-  sopts.expected_records = opts.map_capacity;
-  s->kv_ = std::make_unique<store::KvStore>(s->backend_.get(), nullptr, sopts);
+  s->kv_ = KvMap::OpenOrCreate(*s->rt_, kRootName, opts.map_capacity);
 
   if (opts.repl_log) {
     repl::ReplLogOptions lopts;
@@ -422,7 +425,7 @@ bool Shard::Execute(const Request& req, std::string* reply,
       // MIGRATING slot: a key this node no longer holds belongs to the
       // destination — redirect instead of resurrecting it here (the copy
       // cursor may already be past its slot).
-      if (!req.ask_addr.empty() && !kv_->ReadTouch(req.key)) {
+      if (!req.ask_addr.empty() && !kv_->Touch(req.key)) {
         ask_replies_.fetch_add(1, std::memory_order_relaxed);
         if (req.multi != nullptr) {
           req.multi->Fail("ASK " + req.ask_addr);
@@ -449,25 +452,15 @@ bool Shard::Execute(const Request& req, std::string* reply,
       return true;
     }
     case Request::Op::kGet: {
-      store::Record r;
-      if (!kv_->Read(req.key, &r)) {
-        if (!req.ask_addr.empty()) {
-          ask_replies_.fetch_add(1, std::memory_order_relaxed);
-          AppendErrorCode(reply, "ASK " + req.ask_addr);
-          return false;
-        }
-        AppendNil(reply);
+      if (kv_->AppendBulkValue(req.key, reply)) {
         return false;
       }
-      if (r.fields.size() == 1) {
-        AppendBulk(reply, r.fields[0]);
-      } else {
-        std::string joined;
-        for (const std::string& f : r.fields) {
-          joined += f;
-        }
-        AppendBulk(reply, joined);
+      if (!req.ask_addr.empty()) {
+        ask_replies_.fetch_add(1, std::memory_order_relaxed);
+        AppendErrorCode(reply, "ASK " + req.ask_addr);
+        return false;
       }
+      AppendNil(reply);
       return false;
     }
     case Request::Op::kDel: {
@@ -475,7 +468,7 @@ bool Shard::Execute(const Request& req, std::string* reply,
         AppendErrorCode(reply, kReadonlyMsg);
         return false;
       }
-      const bool removed = kv_->Delete(req.key);
+      const bool removed = kv_->Remove(req.key);
       if (!removed && !req.ask_addr.empty()) {
         ask_replies_.fetch_add(1, std::memory_order_relaxed);
         AppendErrorCode(reply, "ASK " + req.ask_addr);
@@ -498,7 +491,7 @@ bool Shard::Execute(const Request& req, std::string* reply,
         AppendErrorCode(reply, kReadonlyMsg);
         return false;
       }
-      const bool ok = kv_->Update(req.key, req.field, req.value);
+      const bool ok = kv_->UpdateField(req.key, req.field, req.value);
       if (!ok && !req.ask_addr.empty()) {
         ask_replies_.fetch_add(1, std::memory_order_relaxed);
         AppendErrorCode(reply, "ASK " + req.ask_addr);
@@ -516,7 +509,7 @@ bool Shard::Execute(const Request& req, std::string* reply,
       return ok;
     }
     case Request::Op::kTouch: {
-      const bool present = kv_->ReadTouch(req.key);
+      const bool present = kv_->Touch(req.key);
       if (!present && !req.ask_addr.empty()) {
         ask_replies_.fetch_add(1, std::memory_order_relaxed);
         AppendErrorCode(reply, "ASK " + req.ask_addr);
@@ -613,17 +606,17 @@ bool Shard::ExecuteApply(const Request& req) {
   for (const repl::ReplOp& op : ops) {
     switch (op.kind) {
       case repl::ReplOp::Kind::kPut:
-        if (kv_->ApplyPut(op.key, op.record)) {
+        if (kv_->Put(op.key, op.record)) {
           SlotDelta(op.key, +1);
         }
         break;
       case repl::ReplOp::Kind::kDel:
-        if (kv_->ApplyDelete(op.key)) {
+        if (kv_->Remove(op.key)) {
           SlotDelta(op.key, -1);
         }
         break;
       case repl::ReplOp::Kind::kUpdate:
-        kv_->ApplyUpdate(op.key, op.field, op.value);
+        kv_->UpdateField(op.key, op.field, op.value);
         break;
       // Txn ops mirror the primary's discipline: stage at execute, apply
       // post-seal — a record carrying them runs as its own apply batch
@@ -709,27 +702,21 @@ void Shard::RunTxnOps(txn::TxnPart& part,
         break;
       }
       case txn::TxnOp::Kind::kGet: {
-        std::string joined;
         if (staged != nullptr) {
           if (staged->kind == repl::ReplOp::Kind::kDel) {
             AppendNil(reply);
             break;
           }
+          std::string joined;
           for (const std::string& f : staged->record.fields) {
             joined += f;
           }
           AppendBulk(reply, joined);
           break;
         }
-        store::Record r;
-        if (!kv_->Read(op.key, &r)) {
+        if (!kv_->AppendBulkValue(op.key, reply)) {
           AppendNil(reply);
-          break;
         }
-        for (const std::string& f : r.fields) {
-          joined += f;
-        }
-        AppendBulk(reply, joined);
         break;
       }
       case txn::TxnOp::Kind::kDel: {
@@ -737,8 +724,7 @@ void Shard::RunTxnOps(txn::TxnPart& part,
         if (staged != nullptr) {
           present = staged->kind != repl::ReplOp::Kind::kDel;
         } else {
-          store::Record r;
-          present = kv_->Read(op.key, &r);
+          present = kv_->Touch(op.key);
         }
         AppendInteger(reply, present ? 1 : 0);
         if (present) {
@@ -1041,14 +1027,9 @@ void Shard::ExecuteReplSnap(std::string* reply) {
     return;
   }
   std::vector<repl::SnapshotEntry> entries;
-  const bool ok = backend_->SnapshotRecords(
-      [&](const std::string& key, const store::Record& r) {
-        entries.push_back({key, r});
-      });
-  if (!ok) {
-    AppendError(reply, "backend does not support snapshots");
-    return;
-  }
+  kv_->ForEachRecordIf({}, [&](const std::string& key, const store::Record& r) {
+    entries.push_back({key, r});
+  });
   // Singleton control batch: every applied batch is sealed, so next-1 is
   // the exact boundary the image represents.
   const uint64_t snap_seq = log_->next_seq() - 1;
@@ -1079,16 +1060,16 @@ bool Shard::ExecuteSnapInstall(const Request& req, std::string* error) {
     keep.insert(e.key);
   }
   std::vector<std::string> drop;
-  backend_->ForEachKey([&](const std::string& key) {
+  kv_->ForEachKey([&](const std::string& key) {
     if (keep.find(key) == keep.end()) {
       drop.push_back(key);
     }
   });
   for (const std::string& key : drop) {
-    kv_->ApplyDelete(key);
+    kv_->Remove(key);
   }
   for (const repl::SnapshotEntry& e : entries) {
-    kv_->ApplyPut(e.key, e.record);
+    kv_->Put(e.key, e.record);
   }
   log_->FinishInstall(snap_seq + 1);
   // The installed image IS a checkpoint at snap_seq: publish the pair so a
@@ -1129,19 +1110,12 @@ bool Shard::ExecuteCkpt(const Request& req, std::string* reply) {
     }
     uint64_t keys = 0;
     uint64_t bytes = 0;
-    const bool ok = backend_->SnapshotRecordsIf(
+    kv_->ForEachRecordIf(
         [&](const std::string& key) { return InSlotRange(key, req); },
         [&](const std::string& key, const store::Record& r) {
           ++keys;
-          bytes += key.size();
-          for (const std::string& f : r.fields) {
-            bytes += f.size();
-          }
+          bytes += key.size() + r.TotalBytes();
         });
-    if (!ok) {
-      *reply = "-ERR backend does not support snapshots";
-      return false;
-    }
     ckpt_walk_keys_ += keys;
     ckpt_walk_bytes_ += bytes;
     *reply = "+";
@@ -1260,15 +1234,11 @@ void Shard::ExecuteSlotSnap(const Request& req, std::string* reply) {
     return;
   }
   std::vector<repl::SnapshotEntry> entries;
-  const bool ok = backend_->SnapshotRecordsIf(
+  kv_->ForEachRecordIf(
       [&](const std::string& key) { return InSlotRange(key, req); },
       [&](const std::string& key, const store::Record& r) {
         entries.push_back({key, r});
       });
-  if (!ok) {
-    *reply = "-ERR backend does not support snapshots";
-    return;
-  }
   const uint64_t snap_seq = log_->next_seq() - 1;
   std::string frame;
   repl::EncodeSnapshot(snap_seq, entries, &frame);
@@ -1368,13 +1338,13 @@ bool Shard::ExecuteSlotPurge(const Request& req, std::string* reply,
     return false;
   }
   std::vector<std::string> victims;
-  backend_->ForEachKey([&](const std::string& key) {
+  kv_->ForEachKey([&](const std::string& key) {
     if (InSlotRange(key, req)) {
       victims.push_back(key);
     }
   });
   for (const std::string& key : victims) {
-    if (!kv_->Delete(key)) {
+    if (!kv_->Remove(key)) {
       continue;
     }
     SlotDelta(key, -1);
@@ -1409,19 +1379,19 @@ bool Shard::ExecuteMigApply(const Request& req, std::string* reply,
   for (const repl::ReplOp& op : req.mig_ops) {
     switch (op.kind) {
       case repl::ReplOp::Kind::kPut:
-        if (kv_->ApplyPut(op.key, op.record)) {
+        if (kv_->Put(op.key, op.record)) {
           SlotDelta(op.key, +1);
         }
         wrote = true;
         break;
       case repl::ReplOp::Kind::kDel:
-        if (kv_->ApplyDelete(op.key)) {
+        if (kv_->Remove(op.key)) {
           SlotDelta(op.key, -1);
         }
         wrote = true;
         break;
       case repl::ReplOp::Kind::kUpdate:
-        kv_->ApplyUpdate(op.key, op.field, op.value);
+        kv_->UpdateField(op.key, op.field, op.value);
         wrote = true;
         break;
       default:
@@ -1461,7 +1431,7 @@ void Shard::SlotDelta(std::string_view key, int d) {
 
 void Shard::RebuildSlotCounts() {
   std::vector<uint32_t> fresh(cluster::kNumSlots, 0);
-  backend_->ForEachKey(
+  kv_->ForEachKey(
       [&](const std::string& key) { fresh[cluster::SlotForKey(key)]++; });
   std::lock_guard<std::mutex> lk(slot_mu_);
   slot_keys_ = std::move(fresh);
@@ -1993,12 +1963,12 @@ ShardStats Shard::Stats() const {
   s.batches = batches_.load(std::memory_order_relaxed);
   s.max_batch = max_batch_.load(std::memory_order_relaxed);
   s.elided_fences = rt_->heap().elided_fences();
-  s.records = backend_->Size();
+  s.records = kv_->Size();
   s.ask_replies = ask_replies_.load(std::memory_order_relaxed);
   s.mig_applied_ops = mig_applied_ops_.load(std::memory_order_relaxed);
-  s.ops = backend_->stats();
-  s.cache = kv_->cache_stats();
+  s.ops = kv_->stats();
   s.device = dev_->stats();
+  s.heap = rt_->heap().stats();
   s.repl.enabled = log_ != nullptr;
   s.repl.follower = follower();
   s.repl.needs_snapshot = repl_needs_snapshot();
@@ -2074,7 +2044,7 @@ ShardReport Shard::Quiesce() {
   const core::IntegrityReport ir = core::VerifyHeapIntegrity(*rt_, iopts);
   report_.integrity_ok = ir.ok();
   report_.violations = ir.violations;
-  report_.records = backend_->Size();
+  report_.records = kv_->Size();
   report_.elided_fences = rt_->heap().elided_fences();
   report_.psyncs = dev_->stats().psyncs;
   rt_->Close();

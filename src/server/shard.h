@@ -1,13 +1,14 @@
 // Shards — the persistence half of the network server (DESIGN.md §7, §8).
 //
 // Each shard owns a full vertical slice: one simulated NVMM device, one
-// JnvmRuntime, one J-NVM backend and the KvStore on top, plus a single
-// worker thread draining a bounded MPSC request queue. The queue really is
-// multi-producer: with `--loops=N` every event-loop thread (plus the
-// ReplClient and the migrator) submits into the same shard concurrently —
-// Submit/TrySubmit/TrySubmitMany are safe from any thread, and a completion
-// finds its way back to the loop that owns the requesting connection via
-// the conn_id it carries (the loop index rides in the id's top bits). Keys
+// JnvmRuntime and the KvMap store on it (one persistent object per key,
+// src/server/kv_map.h), plus a single worker thread draining a bounded MPSC
+// request queue. The queue really is multi-producer: with `--loops=N`
+// every event-loop thread (plus the ReplClient and the migrator) submits
+// into the same shard concurrently — Submit/TrySubmit/TrySubmitMany are
+// safe from any thread, and a completion finds its way back to the loop
+// that owns the requesting connection via the conn_id it carries (the
+// loop index rides in the id's top bits). Keys
 // are routed to shards by FNV-1a hash (ShardFor), so a key's whole history
 // lives on one device — restart recovery is per-shard and embarrassingly
 // parallel.
@@ -59,7 +60,7 @@
 #include "src/nvm/pmem_device.h"
 #include "src/repl/frame.h"
 #include "src/repl/repl_log.h"
-#include "src/store/kvstore.h"
+#include "src/server/kv_map.h"
 #include "src/txn/txn.h"
 
 namespace jnvm::server {
@@ -81,8 +82,7 @@ inline uint32_t ShardFor(std::string_view key, uint32_t nshards) {
 
 struct ShardOptions {
   uint64_t device_bytes = 256ull << 20;
-  // "jpdt" (default) or "jpfa".
-  std::string backend = "jpdt";
+  // Initial slot-array capacity of the KvMap (it doubles when full).
   uint64_t map_capacity = 1 << 16;
   // Max write group per Psync (the --batch ablation knob). 1 = no batching:
   // every operation pays its own durability fence.
@@ -422,9 +422,9 @@ struct ShardStats {
   // MIGRATING phase) and ops imported through kMigApply.
   uint64_t ask_replies = 0;
   uint64_t mig_applied_ops = 0;
-  store::OpStats ops;
-  store::CacheStats cache;
+  KvOpStats ops;
   nvm::DeviceStats device;
+  heap::HeapStats heap;
   ReplStats repl;
   TxnShardStats txn;
   CkptStats ckpt;
@@ -437,9 +437,11 @@ class Shard {
   // the replication log is enabled and holds records, the last record is
   // re-applied to the store (redo tail): a crash between the log append and
   // the store's final flush recovers to the sealed-batch boundary with the
-  // log and the store in agreement.
+  // log and the store in agreement. Returns nullptr (and says why in
+  // *error) for a heap whose store this server cannot read.
   static std::unique_ptr<Shard> Open(const ShardOptions& opts, uint32_t index,
-                                     CompletionSink* sink);
+                                     CompletionSink* sink,
+                                     std::string* error = nullptr);
   ~Shard();
 
   uint32_t index() const { return index_; }
@@ -530,7 +532,9 @@ class Shard {
   txn::ShardTxnView TxnView() const;
   bool HasTxnDecision(txn::TxnId id) const { return txn_decisions_.Has(id); }
 
-  store::KvStore& kv() { return *kv_; }
+  // The shard's store. Single-writer: only for callers that own the shard
+  // while its worker is idle (in-process benchmarks and tests).
+  KvMap& kv() { return *kv_; }
 
   // Stops intake, drains the queue, joins the worker, Psyncs, audits heap
   // integrity (I1–I7 with FA-log audit — the heap is quiescent), closes the
@@ -542,7 +546,7 @@ class Shard {
   Shard() = default;
 
   void WorkerLoop();
-  // Executes one request against the KvStore; appends the RESP reply and
+  // Executes one request against the KvMap; appends the RESP reply and
   // collects the batch's replicated ops. Returns true when the op wrote
   // persistent state.
   bool Execute(const Request& req, std::string* reply,
@@ -649,8 +653,7 @@ class Shard {
 
   std::unique_ptr<nvm::PmemDevice> dev_;
   std::unique_ptr<core::JnvmRuntime> rt_;
-  std::unique_ptr<store::Backend> backend_;
-  std::unique_ptr<store::KvStore> kv_;
+  core::Handle<KvMap> kv_;
   std::unique_ptr<repl::ReplLog> log_;  // worker-thread only after Open()
   core::Handle<ckpt::CkptMeta> ckpt_meta_;  // worker-thread only after Open()
 

@@ -4,15 +4,17 @@
 #include <cstring>
 
 #include "src/core/runtime.h"
-#include "src/store/kvstore.h"
+#include "src/server/kv_map.h"
 
 namespace jnvm::txn {
 
 namespace {
 
 // Entry budget per staged write when sizing one failure-atomic block: a
-// worst-case apply touches the record allocation, a couple of string
-// allocations, the bucket chain COW and the free of a replaced record.
+// worst-case apply allocates an entry, copies the slot-array block it
+// publishes in and frees the replaced entry (plus, rarely, a slot-array
+// swap), or rewrites in place a cell spanning up to
+// KvMap::kInPlaceMaxBlocks entry blocks.
 constexpr uint64_t kFaEntriesPerWrite = 16;
 
 void PutU32(std::string* out, uint32_t v) {
@@ -60,14 +62,14 @@ struct Cursor {
 
 // Returns whether the store changed shape: kPut that inserted a fresh key,
 // kDel that removed one. Updates rewrite in place and report false.
-bool ApplyOneWrite(store::KvStore* kv, const repl::ReplOp& op) {
+bool ApplyOneWrite(server::KvMap* kv, const repl::ReplOp& op) {
   switch (op.kind) {
     case repl::ReplOp::Kind::kPut:
-      return kv->ApplyPut(op.key, op.record);
+      return kv->Put(op.key, op.record);
     case repl::ReplOp::Kind::kDel:
-      return kv->ApplyDelete(op.key);
+      return kv->Remove(op.key);
     case repl::ReplOp::Kind::kUpdate:
-      kv->ApplyUpdate(op.key, op.field, op.value);
+      kv->UpdateField(op.key, op.field, op.value);
       return false;
     default:
       return false;  // txn kinds never nest inside a staged-writes frame
@@ -229,7 +231,7 @@ namespace {
 
 // One txn-op state transition, shared by the pure scan (kv == nullptr) and
 // the redo replay (kv != nullptr, store effects applied).
-void TxnTransition(core::JnvmRuntime* rt, store::KvStore* kv,
+void TxnTransition(core::JnvmRuntime* rt, server::KvMap* kv,
                    const repl::ReplOp& op, uint64_t seq, LogScanResult* state) {
   TxnId id = 0;
   if (!ParseTxnIdKey(op.key, &id)) return;
@@ -291,19 +293,15 @@ void ScanLogForTxns(const repl::ReplLog& log, uint64_t stop_before,
   }
 }
 
-void ReplayRecordOps(core::JnvmRuntime* rt, store::KvStore* kv,
+void ReplayRecordOps(core::JnvmRuntime* rt, server::KvMap* kv,
                      const std::vector<repl::ReplOp>& ops,
                      LogScanResult* state) {
   for (const repl::ReplOp& op : ops) {
     switch (op.kind) {
       case repl::ReplOp::Kind::kPut:
-        kv->ApplyPut(op.key, op.record);
-        break;
       case repl::ReplOp::Kind::kDel:
-        kv->ApplyDelete(op.key);
-        break;
       case repl::ReplOp::Kind::kUpdate:
-        kv->ApplyUpdate(op.key, op.field, op.value);
+        ApplyOneWrite(kv, op);
         break;
       case repl::ReplOp::Kind::kTxnPrepare:
       case repl::ReplOp::Kind::kTxnCommit:
@@ -315,7 +313,7 @@ void ReplayRecordOps(core::JnvmRuntime* rt, store::KvStore* kv,
 }
 
 void ApplyStagedWrites(
-    core::JnvmRuntime* rt, store::KvStore* kv,
+    core::JnvmRuntime* rt, server::KvMap* kv,
     const std::vector<repl::ReplOp>& writes,
     const std::function<void(const repl::ReplOp&, bool)>& observe) {
   const auto apply = [&](const repl::ReplOp& op) {

@@ -47,8 +47,8 @@
 namespace jnvm::core {
 class JnvmRuntime;
 }
-namespace jnvm::store {
-class KvStore;
+namespace jnvm::server {
+class KvMap;
 }
 
 namespace jnvm::txn {
@@ -164,7 +164,7 @@ void ScanLogForTxns(const repl::ReplLog& log, uint64_t stop_before,
 // applies the staged writes (idempotently) then erases, abort drops. Used
 // by the shard's redo-tail recovery and the crashcheck recovery oracle.
 // `rt` may be null (no failure-atomic wrapping — crashcheck runtimes).
-void ReplayRecordOps(core::JnvmRuntime* rt, store::KvStore* kv,
+void ReplayRecordOps(core::JnvmRuntime* rt, server::KvMap* kv,
                      const std::vector<repl::ReplOp>& ops, LogScanResult* state);
 
 // Applies a txn's staged writes through the store's apply path inside
@@ -176,7 +176,7 @@ void ReplayRecordOps(core::JnvmRuntime* rt, store::KvStore* kv,
 // when set, is called per write with whether the store changed shape
 // (kPut inserted / kDel removed) — the shard's per-slot accounting hook.
 void ApplyStagedWrites(
-    core::JnvmRuntime* rt, store::KvStore* kv,
+    core::JnvmRuntime* rt, server::KvMap* kv,
     const std::vector<repl::ReplOp>& writes,
     const std::function<void(const repl::ReplOp&, bool)>& observe = {});
 

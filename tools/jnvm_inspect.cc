@@ -16,7 +16,7 @@
 // audit fails — CI gates on this. The image is offline (the heap is
 // quiescent by construction), so the audit always includes I7 (FA logs).
 //
-// Built-in classes (J-PDT, store, bank) are pre-registered; images holding
+// Built-in classes (J-PDT, store, server, bank) are pre-registered; images holding
 // application-defined classes need those classes linked into the inspector
 // (the classpath requirement of §3.1 resurrection).
 #include <cinttypes>
@@ -31,6 +31,7 @@
 #include "src/pdt/register_all.h"
 #include "src/pfa/fa_log.h"
 #include "src/repl/repl_log.h"
+#include "src/server/kv_map.h"
 #include "src/store/jpfa_map.h"
 #include "src/store/precord.h"
 #include "src/tpcb/bank.h"
@@ -120,6 +121,17 @@ void PrintClusterMeta(core::JnvmRuntime& rt, bool summary) {
   }
 }
 
+// The shard's key/value store (DESIGN.md §7): records and slot capacity,
+// from the mirror recovery rebuilt. Printed only when the image holds the
+// shard's store binding.
+void PrintServerStore(core::JnvmRuntime& rt) {
+  if (rt.root().Exists("server.kv")) {
+    auto kv = server::KvMap::OpenOrCreate(rt, "server.kv", 0);  // binds
+    std::printf("  kv store  : %zu record(s) in %" PRIu64 " slot(s)\n", kv->Size(),
+                kv->CapacitySlots());
+  }
+}
+
 // Replication-log occupancy + checkpoint watermark (DESIGN.md §11): how
 // many sealed segments the shard retains, the byte footprint, and the
 // truncation watermark (start_seq — everything below was reclaimed by a
@@ -180,6 +192,7 @@ int PrintSummary(const char* path, nvm::PmemDevice* dev,
               " block(s) swept\n",
               rep.replay.replayed_logs, rep.replay.aborted_logs,
               rep.sweep.freed_blocks);
+  PrintServerStore(*rt);
   PrintReplLog(*rt);
   PrintClusterMeta(*rt, /*summary=*/true);
   std::printf("  integrity : %s\n", report.Summary().c_str());
@@ -213,6 +226,8 @@ int main(int argc, char** argv) {
   store::JpfaEntry::Class();
   store::JpfaHashMap::Class();
   tpcb::PAccount::Class();
+  server::KvMap::Class();
+  server::KvEntry::Class();
   repl::ReplLogRoot::Class();
   repl::ReplLogSegment::Class();
   ckpt::CkptMeta::Class();
@@ -286,6 +301,7 @@ int main(int argc, char** argv) {
     std::printf("  %s\n", key.c_str());
   }
   std::printf("\n");
+  PrintServerStore(*rt);
   PrintReplLog(*rt);
   PrintClusterMeta(*rt, /*summary=*/false);
   rt->Abandon();  // inspection must not alter the on-disk image

@@ -1,7 +1,7 @@
 // jnvm_server — the standalone J-NVM network server (DESIGN.md §7).
 //
 //   jnvm_server [--port=N] [--host=A] [--shards=N] [--batch=N]
-//               [--backend=jpdt|jpfa] [--device-mb=N] [--image-base=PATH]
+//               [--device-mb=N] [--image-base=PATH]
 //               [--queue=N] [--loops=N] [--no-reuseport] [--optane]
 //               [--fence-ns=N]
 //               [--replica-of=HOST:PORT] [--no-repl-log]
@@ -12,6 +12,11 @@
 //               [--cluster] [--cluster-self=N] [--cluster-announce=H:P]
 //               [--cluster-dax=PATH | --cluster-image=PATH] [--dax-base=PATH]
 //
+// Each shard keeps its keys in a KvMap on its own simulated NVMM device:
+// one persistent object per key, holding the key and the record's fields in
+// one block chain (DESIGN.md §7). A shard heap written by an older server
+// (the three-objects-per-key layout bound as "server.store") is refused at
+// start-up, not read.
 // --loops=N runs N epoll event-loop threads, each with its own SO_REUSEPORT
 // listener; connections pin to their accepting loop. --no-reuseport instead
 // has loop 0 accept every connection and hand the fds off round-robin.
@@ -93,8 +98,6 @@ int main(int argc, char** argv) {
       opts.nshards = static_cast<uint32_t>(std::atoi(v));
     } else if (FlagValue(argv[i], "--batch", &v)) {
       opts.shard.batch = static_cast<uint32_t>(std::atoi(v));
-    } else if (FlagValue(argv[i], "--backend", &v)) {
-      opts.shard.backend = v;
     } else if (FlagValue(argv[i], "--device-mb", &v)) {
       opts.shard.device_bytes = static_cast<uint64_t>(std::atoll(v)) << 20;
     } else if (FlagValue(argv[i], "--image-base", &v)) {
@@ -157,10 +160,9 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
 
-  std::printf("jnvm_server: listening on %s:%u (%u shard(s), backend=%s, "
+  std::printf("jnvm_server: listening on %s:%u (%u shard(s), "
               "batch=%u, loops=%u%s%s)%s\n",
-              opts.host.c_str(), server->port(), opts.nshards,
-              opts.shard.backend.c_str(), opts.shard.batch,
+              opts.host.c_str(), server->port(), opts.nshards, opts.shard.batch,
               opts.loops == 0 ? 1 : opts.loops,
               opts.replica_of.empty() ? "" : ", replica of ",
               opts.replica_of.c_str(),
