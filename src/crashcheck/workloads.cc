@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 
-#include "src/ckpt/ckpt_meta.h"
 #include "src/cluster/meta.h"
 #include "src/cluster/slot_map.h"
 #include "src/common/rand.h"
@@ -14,6 +13,7 @@
 #include "src/repl/frame.h"
 #include "src/repl/repl_log.h"
 #include "src/server/kv_map.h"
+#include "src/server/protocol.h"
 #include "src/server/shard.h"
 #include "src/txn/txn.h"
 
@@ -927,1392 +927,644 @@ class PfaWorkload final : public Workload {
   std::vector<Handle<CrashAccount>> accounts_;
 };
 
-// ---- Server workload ---------------------------------------------------------
+// ---- Shipped-shard workloads (DESIGN.md §6.1) --------------------------------
 //
-// Models the network server's fence-batching path (src/server): commands are
-// routed to per-shard J-PDT stores by server::ShardFor, executed in groups
-// under Heap::BeginGroupCommit (durability fences elided), sealed by one
-// Psync, and only then are the batch's deferred frees drained — exactly the
-// Shard::WorkerLoop sequence. One checker "op" is one whole batch.
+// "server", "repl", "ckpt", "repl-apply", "wait" and "read-your-writes" run
+// the shard that ships. Setup opens a server::Shard on the checker's runtime
+// (Shard::OpenOn: no worker thread), each RunOp submits real Requests
+// through Shard::RunBatch, the worker's only batch path, and Check reopens
+// the shard on the recovered runtime, so recovery is the shard's own root
+// binding, txn state rebuild and redo tail. The workloads make no
+// persistence call of their own.
 //
-// Oracle (group-commit contract): every sealed batch is fully visible; each
-// command of the in-flight batch is independently old-or-new (its elided
-// durability fence means it may not have survived, but the retained
-// ordering fences forbid torn values); nothing else may differ. Keys are
-// distinct within a batch so "old-or-new" is well defined per key.
+// The judge is indexed by replies as well as by the cut. A recording sink
+// keeps every reply the shard delivered before the crash, and on a follower
+// the last seq its seal hook acked (the REPLACK a primary's WAIT-K waits
+// for). A delivered request must be durable; a request in flight and not
+// delivered may read old or new, never torn.
 
-class ServerWorkload final : public Workload {
- public:
-  static constexpr uint32_t kShards = 4;
-  static constexpr uint32_t kBatch = 4;
+// One client write of a script. kHset writes field 0 of a live key.
+struct KvCmd {
+  enum class Kind : uint8_t { kSet, kDel, kHset };
+  Kind kind = Kind::kSet;
+  std::string key;
+  std::string value;  // kSet / kHset
+};
+using KvBatch = std::vector<KvCmd>;
+using KvState = std::map<std::string, std::string>;  // key → field 0
 
-  struct Cmd {
-    bool remove = false;
-    std::string key;
-    std::string value;
-  };
-
-  ServerWorkload(uint64_t seed, size_t n) : name_("server") {
-    Xorshift rng(seed);
-    std::set<std::string> live;
-    script_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      std::vector<Cmd> batch;
-      std::set<std::string> used;  // keys distinct within a batch
-      for (uint32_t j = 0; j < kBatch; ++j) {
-        std::string key;
-        do {
-          key = "k" + std::to_string(rng.NextBelow(12));
-        } while (used.count(key) != 0);
-        used.insert(key);
-        if (live.count(key) != 0 && rng.NextBelow(4) == 0) {
-          batch.push_back(Cmd{true, key, {}});
-          live.erase(key);
-        } else {
-          batch.push_back(
-              Cmd{false, key, ValueFor(i * kBatch + j, rng.NextBelow(6) == 0)});
-          live.insert(key);
-        }
-      }
-      script_.push_back(std::move(batch));
-    }
-  }
-
-  const std::string& name() const override { return name_; }
-  size_t op_count() const override { return script_.size(); }
-
-  void Setup(JnvmRuntime& rt) override {
-    shards_.clear();
-    for (uint32_t s = 0; s < kShards; ++s) {
-      shards_.push_back(OpenStore(rt, RootName(s)));
-    }
-    rt.Psync();
-  }
-
-  void RunOp(JnvmRuntime& rt, size_t i) override {
-    rt.heap().BeginGroupCommit();
-    for (const Cmd& c : script_[i]) {
-      server::KvMap* b = shards_[server::ShardFor(c.key, kShards)].get();
-      if (c.remove) {
-        b->Remove(c.key);
-      } else {
-        store::Record r;
-        r.fields.push_back(c.value);
-        b->Put(c.key, r);
-      }
-    }
-    rt.heap().EndGroupCommit();
-    rt.Psync();  // the batch's single durability point
-    rt.DrainGroupFrees();
-  }
-
-  void Check(JnvmRuntime& rt, const CrashCut& cut,
-             std::vector<std::string>* out) override {
-    // Oracle state: the sealed batches, replayed in DRAM.
-    std::map<std::string, std::string> expected;
-    for (size_t i = 0; i < cut.committed; ++i) {
-      for (const Cmd& c : script_[i]) {
-        if (c.remove) {
-          expected.erase(c.key);
-        } else {
-          expected[c.key] = c.value;
-        }
-      }
-    }
-    const std::vector<Cmd>* inflight =
-        cut.in_flight.has_value() && *cut.in_flight < script_.size()
-            ? &script_[*cut.in_flight]
-            : nullptr;
-
-    std::map<std::string, std::string> got;
-    for (uint32_t s = 0; s < kShards; ++s) {
-      if (!rt.root().Exists(RootName(s))) {
-        out->push_back("shard root binding " + RootName(s) + " lost");
-        return;
-      }
-      for (const auto& [k, v] : StoreValues(*OpenStore(rt, RootName(s)), out)) {
-        got[k] = v;
-        if (server::ShardFor(k, kShards) != s) {
-          out->push_back("key " + k + " found on shard " + std::to_string(s) +
-                         ", routed to " +
-                         std::to_string(server::ShardFor(k, kShards)));
-        }
-      }
-    }
-
-    auto inflight_cmd = [&](const std::string& k) -> const Cmd* {
-      if (inflight == nullptr) {
-        return nullptr;
-      }
-      for (const Cmd& c : *inflight) {
-        if (c.key == k) {
-          return &c;
-        }
-      }
-      return nullptr;
-    };
-
-    for (const auto& [k, v] : expected) {
-      const Cmd* c = inflight_cmd(k);
-      if (c != nullptr) {
-        continue;  // judged below
-      }
-      auto it = got.find(k);
-      if (it == got.end()) {
-        out->push_back("sealed-batch key " + k + " lost");
-      } else if (it->second != v) {
-        out->push_back("sealed-batch key " + k + " has value '" + it->second +
-                       "', want '" + v + "'");
-      }
-    }
-    for (const auto& [k, v] : got) {
-      if (expected.count(k) == 0 && inflight_cmd(k) == nullptr) {
-        out->push_back("phantom key " + k);
-      }
-    }
-    if (inflight != nullptr) {
-      // Each in-flight command independently old-or-new, never torn.
-      for (const Cmd& c : *inflight) {
-        const auto it = got.find(c.key);
-        const auto old_it = expected.find(c.key);
-        if (it == got.end()) {
-          if (!c.remove && old_it != expected.end()) {
-            out->push_back("in-flight batch erased pre-existing key " + c.key);
-          }
-          continue;  // absent: old-absent, removed, or unsurvived put
-        }
-        const bool is_old = old_it != expected.end() && it->second == old_it->second;
-        const bool is_new = !c.remove && it->second == c.value;
-        if (!is_old && !is_new) {
-          out->push_back("in-flight batch left torn value '" + it->second +
-                         "' for key " + c.key);
-        }
-      }
-    }
-  }
-
- private:
-  static std::string RootName(uint32_t s) {
-    return "shard" + std::to_string(s);
-  }
-
-  std::string name_;
-  std::vector<std::vector<Cmd>> script_;
-  std::vector<Handle<server::KvMap>> shards_;
+struct ScriptShape {
+  uint32_t cmds = 3;  // per batch, on distinct keys
+  uint32_t keys = 10;
+  bool del = true;
+  bool hset = false;
 };
 
-// ---- Replication workloads (DESIGN.md §8) ------------------------------------
-//
-// "repl" models the *primary* produce path: each checker op is one
-// group-commit batch that mutates per-shard J-PDT stores AND appends the
-// batch's replication record to each touched shard's durable ReplLog —
-// store, log and (in the real server) client replies all sealed by the
-// batch's one Psync, exactly Shard::WorkerLoop. Tiny segments force the
-// ring through rollover, truncation and the oversized-record path.
-//
-// Oracle: per shard, the recovered log retains sealed_s records with
-// sealed_s ∈ {c_s, c_s + 1} — c_s sealed batches, plus possibly the
-// in-flight batch's record when its lines happened to survive; every
-// retained record must byte-match the script's frame. After the redo tail
-// (Shard::Open re-applies the last retained record) the store must equal
-// the replay of exactly sealed_s batches, with the usual old-or-new
-// allowance for keys of an *unsealed* in-flight batch.
-
-class ReplWorkload final : public Workload {
- public:
-  static constexpr uint32_t kShards = 2;
-  static constexpr uint32_t kBatch = 3;
-
-  struct Cmd {
-    bool remove = false;
-    std::string key;
-    std::string value;
-  };
-
-  ReplWorkload(uint64_t seed, size_t n) : name_("repl") {
-    Xorshift rng(seed);
-    std::set<std::string> live;
-    script_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      std::vector<Cmd> batch;
-      std::set<std::string> used;
-      for (uint32_t j = 0; j < kBatch; ++j) {
-        std::string key;
-        do {
-          key = "k" + std::to_string(rng.NextBelow(10));
-        } while (used.count(key) != 0);
-        used.insert(key);
-        if (live.count(key) != 0 && rng.NextBelow(4) == 0) {
-          batch.push_back(Cmd{true, key, {}});
-          live.erase(key);
+// The one script generator: batches of SET, DEL and HSET over a small key
+// set. Command j of batch i carries ValueFor(i * cmds + j), so a lost or
+// stale write always shows. An HSET value either fits the key's cell (the
+// shard writes it in place) or outgrows it (the entry is republished).
+std::vector<KvBatch> MakeScript(uint64_t seed, size_t n, const ScriptShape& shape) {
+  Xorshift rng(seed);
+  std::map<std::string, size_t> cap;  // live key → its cell's field capacity
+  std::vector<KvBatch> script(n);
+  for (size_t i = 0; i < n; ++i) {
+    std::set<std::string> used;
+    for (uint32_t j = 0; j < shape.cmds; ++j) {
+      KvCmd c;
+      do {
+        c.key = "k" + std::to_string(rng.NextBelow(shape.keys));
+      } while (used.count(c.key) != 0);
+      used.insert(c.key);
+      const auto it = cap.find(c.key);
+      const uint64_t pick = rng.NextBelow(8);
+      if (it != cap.end() && shape.del && pick < 2) {
+        c.kind = KvCmd::Kind::kDel;
+        cap.erase(it);
+      } else if (it != cap.end() && shape.hset && pick < 4) {
+        c.kind = KvCmd::Kind::kHset;
+        c.value = "h" + std::to_string(i * shape.cmds + j);
+        if (c.value.size() <= it->second && rng.NextBelow(2) == 0) {
+          c.value.resize(it->second, 'y');
         } else {
-          batch.push_back(
-              Cmd{false, key, ValueFor(i * kBatch + j, rng.NextBelow(6) == 0)});
-          live.insert(key);
+          c.value.resize(it->second + 1 + (rng.NextBelow(2) == 0 ? 0 : 300), 'z');
+          it->second = c.value.size();
         }
-      }
-      script_.push_back(std::move(batch));
-    }
-    // Pre-encode each batch's per-shard replication frame; `touches_[s]` is
-    // the list of batch indices whose frame lands on shard s — entry m of it
-    // is the batch sealed as shard-s record m+1.
-    for (uint32_t s = 0; s < kShards; ++s) {
-      touches_[s].clear();
-      frames_[s].clear();
-    }
-    for (size_t i = 0; i < script_.size(); ++i) {
-      std::vector<repl::ReplOp> rops[kShards];
-      for (const Cmd& c : script_[i]) {
-        repl::ReplOp op;
-        op.kind = c.remove ? repl::ReplOp::Kind::kDel : repl::ReplOp::Kind::kPut;
-        op.key = c.key;
-        if (!c.remove) {
-          op.record.fields.push_back(c.value);
-        }
-        rops[server::ShardFor(c.key, kShards)].push_back(std::move(op));
-      }
-      for (uint32_t s = 0; s < kShards; ++s) {
-        if (!rops[s].empty()) {
-          touches_[s].push_back(i);
-          std::string f;
-          repl::EncodeBatch(rops[s], &f);
-          frames_[s].push_back(std::move(f));
-        }
-      }
-    }
-  }
-
-  const std::string& name() const override { return name_; }
-  size_t op_count() const override { return script_.size(); }
-
-  void Setup(JnvmRuntime& rt) override {
-    shards_.clear();
-    logs_.clear();
-    for (uint32_t s = 0; s < kShards; ++s) {
-      shards_.push_back(OpenStore(rt, StoreRoot(s)));
-      logs_.push_back(repl::ReplLog::OpenOrCreate(&rt, LogRoot(s), TinyLog()));
-    }
-    rt.Psync();
-  }
-
-  void RunOp(JnvmRuntime& rt, size_t i) override {
-    rt.heap().BeginGroupCommit();
-    bool touched[kShards] = {};
-    for (const Cmd& c : script_[i]) {
-      const uint32_t s = server::ShardFor(c.key, kShards);
-      touched[s] = true;
-      if (c.remove) {
-        shards_[s]->Remove(c.key);
       } else {
-        store::Record r;
-        r.fields.push_back(c.value);
-        shards_[s]->Put(c.key, r);
+        c.kind = KvCmd::Kind::kSet;
+        c.value = ValueFor(i * shape.cmds + j, rng.NextBelow(6) == 0);
+        cap[c.key] = c.value.size();
       }
-    }
-    for (uint32_t s = 0; s < kShards; ++s) {
-      if (touched[s]) {
-        const size_t rec = logs_[s]->next_seq() - 1;  // 0-based record index
-        logs_[s]->Append(logs_[s]->next_seq(), frames_[s][rec]);
-      }
-    }
-    rt.heap().EndGroupCommit();
-    rt.Psync();  // seals the store mutations and the log records together
-    rt.DrainGroupFrees();
-  }
-
-  void Check(JnvmRuntime& rt, const CrashCut& cut,
-             std::vector<std::string>* out) override {
-    const std::vector<Cmd>* inflight =
-        cut.in_flight.has_value() && *cut.in_flight < script_.size()
-            ? &script_[*cut.in_flight]
-            : nullptr;
-
-    for (uint32_t s = 0; s < kShards; ++s) {
-      auto log = repl::ReplLog::OpenOrCreate(&rt, LogRoot(s), TinyLog());
-      if (log->needs_snapshot()) {
-        out->push_back("shard " + std::to_string(s) +
-                       " log reports needs_snapshot on a primary");
-        continue;
-      }
-      // Sealed boundary: c_s committed records, +1 only if the in-flight
-      // batch touched this shard and its record's lines survived.
-      const uint64_t c_s = CountTouches(s, cut.committed);
-      const bool inflight_touches =
-          inflight != nullptr && CountTouches(s, *cut.in_flight + 1) > c_s;
-      const uint64_t sealed = log->next_seq() - 1;
-      if (sealed != c_s && !(inflight_touches && sealed == c_s + 1)) {
-        out->push_back("shard " + std::to_string(s) + " log retains " +
-                       std::to_string(sealed) + " records, want " +
-                       std::to_string(c_s) +
-                       (inflight_touches ? " or +1" : ""));
-        continue;
-      }
-      // Every retained record must byte-match the script's frame.
-      std::string payload;
-      for (uint64_t q = log->start_seq(); q < log->next_seq(); ++q) {
-        if (!log->Read(q, &payload)) {
-          out->push_back("shard " + std::to_string(s) + " record " +
-                         std::to_string(q) + " unreadable");
-        } else if (payload != frames_[s][q - 1]) {
-          out->push_back("shard " + std::to_string(s) + " record " +
-                         std::to_string(q) + " does not match the script");
-        }
-      }
-      // Redo tail (Shard::Open): re-apply the last retained record so the
-      // store lands exactly on the sealed boundary.
-      auto backend = OpenStore(rt, StoreRoot(s));
-      if (!log->empty() && log->Read(log->next_seq() - 1, &payload)) {
-        std::vector<repl::ReplOp> rops;
-        if (!repl::DecodeBatch(payload, &rops)) {
-          out->push_back("shard " + std::to_string(s) + " tail record corrupt");
-        } else {
-          ApplyOps(*backend, rops);
-        }
-      }
-
-      // Store oracle for this shard's keys.
-      std::map<std::string, std::string> expected;
-      for (uint64_t m = 0; m < sealed; ++m) {
-        for (const Cmd& c : script_[touches_[s][m]]) {
-          if (server::ShardFor(c.key, kShards) != s) {
-            continue;
-          }
-          if (c.remove) {
-            expected.erase(c.key);
-          } else {
-            expected[c.key] = c.value;
-          }
-        }
-      }
-      // Keys of an *unsealed* in-flight batch are individually old-or-new;
-      // a sealed in-flight record was forced by the redo above.
-      const bool inflight_unsealed = inflight_touches && sealed == c_s;
-
-      std::map<std::string, std::string> got = StoreValues(*backend, out);
-
-      auto inflight_cmd = [&](const std::string& k) -> const Cmd* {
-        if (!inflight_unsealed) {
-          return nullptr;
-        }
-        for (const Cmd& c : *inflight) {
-          if (c.key == k && server::ShardFor(c.key, kShards) == s) {
-            return &c;
-          }
-        }
-        return nullptr;
-      };
-      for (const auto& [k, v] : expected) {
-        if (inflight_cmd(k) != nullptr) {
-          continue;
-        }
-        const auto it = got.find(k);
-        if (it == got.end()) {
-          out->push_back("shard " + std::to_string(s) + " sealed key " + k +
-                         " lost");
-        } else if (it->second != v) {
-          out->push_back("shard " + std::to_string(s) + " sealed key " + k +
-                         " has '" + it->second + "', want '" + v + "'");
-        }
-      }
-      for (const auto& [k, v] : got) {
-        if (expected.count(k) == 0 && inflight_cmd(k) == nullptr) {
-          out->push_back("shard " + std::to_string(s) + " phantom key " + k);
-        }
-      }
-      if (inflight_unsealed) {
-        for (const Cmd& c : *inflight) {
-          if (server::ShardFor(c.key, kShards) != s) {
-            continue;
-          }
-          const auto it = got.find(c.key);
-          const auto old_it = expected.find(c.key);
-          if (it == got.end()) {
-            if (!c.remove && old_it != expected.end()) {
-              out->push_back("in-flight batch erased pre-existing key " + c.key);
-            }
-            continue;
-          }
-          const bool is_old =
-              old_it != expected.end() && it->second == old_it->second;
-          const bool is_new = !c.remove && it->second == c.value;
-          if (!is_old && !is_new) {
-            out->push_back("in-flight batch left torn value '" + it->second +
-                           "' for key " + c.key);
-          }
-        }
-      }
-    }
-    rt.Psync();  // leave the heap quiescent for the checker's I1–I7 audit
-  }
-
- private:
-  static repl::ReplLogOptions TinyLog() {
-    repl::ReplLogOptions o;
-    o.segment_bytes = 256;  // forces rollover, truncation and oversized records
-    o.max_segments = 3;
-    return o;
-  }
-  static std::string StoreRoot(uint32_t s) { return "shard" + std::to_string(s); }
-  static std::string LogRoot(uint32_t s) { return "repl" + std::to_string(s); }
-
-  uint64_t CountTouches(uint32_t s, size_t batches) const {
-    uint64_t n = 0;
-    for (const size_t b : touches_[s]) {
-      n += b < batches ? 1 : 0;
-    }
-    return n;
-  }
-
-  static void ApplyOps(server::KvMap& b, const std::vector<repl::ReplOp>& rops) {
-    for (const repl::ReplOp& op : rops) {
-      switch (op.kind) {
-        case repl::ReplOp::Kind::kPut:
-          b.Put(op.key, op.record);
-          break;
-        case repl::ReplOp::Kind::kDel:
-          b.Remove(op.key);
-          break;
-        case repl::ReplOp::Kind::kUpdate:
-          b.UpdateField(op.key, op.field, op.value);
-          break;
-        default:
-          break;  // repl scripts carry no txn ops
-      }
+      script[i].push_back(std::move(c));
     }
   }
+  return script;
+}
 
-  std::string name_;
-  std::vector<std::vector<Cmd>> script_;
-  std::vector<size_t> touches_[kShards];
-  std::vector<std::string> frames_[kShards];
-  std::vector<Handle<server::KvMap>> shards_;
-  std::vector<std::unique_ptr<repl::ReplLog>> logs_;
-};
+std::optional<std::string> Lookup(const KvState& s, const std::string& key) {
+  const auto it = s.find(key);
+  return it == s.end() ? std::nullopt : std::optional<std::string>(it->second);
+}
 
-// ---- Checkpoint workload (DESIGN.md §11) ------------------------------------
-//
-// "ckpt" models the fuzzy-checkpoint + truncation plane: write batches (the
-// "repl" produce path, one shard) interleave with checkpoint ops that run
-// the finalize sequence of Shard::ExecuteCkpt — Psync (store effects
-// durable) → CkptMeta::Publish(begin = next_seq) → Pfence → TruncateBelow —
-// inside a group-commit batch, so the checker's sweep crashes at every
-// persistence event of the walk accounting, the meta publication and the
-// segment unlink/free chain.
-//
-// Oracle: recovery from (image, tail) must equal full-log replay. The store
-// image already holds every sealed batch's effects (that is what the
-// pre-publish Psync certifies), so replaying only [replay_from, next) —
-// replay_from = min(max(meta.begin, log.start), log.next), exactly
-// Shard::Open — must land on the same state as replaying the whole script's
-// sealed prefix. A checkpoint that published `begin` before the store
-// effects below it were durable shows up as a lost sealed key. Meta fields
-// are 8-byte stores: a crash inside Publish exposes per-field old-or-new
-// (any mix is safe — recovery reads only BeginSeq, and both bounds are
-// valid), so exact-match assertions apply only when the in-flight op is not
-// a checkpoint.
-
-class CkptWorkload final : public Workload {
- public:
-  static constexpr uint32_t kBatch = 3;
-  static constexpr size_t kCkptEvery = 4;  // op i is a checkpoint when i%4==3
-
-  struct Cmd {
-    bool remove = false;
-    std::string key;
-    std::string value;
-  };
-
-  CkptWorkload(uint64_t seed, size_t n) : name_("ckpt") {
-    Xorshift rng(seed);
-    std::map<std::string, std::string> model;
-    uint64_t next_rec = 1;
-    writes_before_.reserve(n + 1);
-    ckpts_before_.reserve(n + 1);
-    for (size_t i = 0; i < n; ++i) {
-      writes_before_.push_back(next_rec - 1);
-      ckpts_before_.push_back(ckpt_begin_.size());
-      if (i % kCkptEvery == kCkptEvery - 1) {
-        // Checkpoint op: record the pair it will publish and the walk
-        // accounting over the model state at this point.
-        ckpt_begin_.push_back(next_rec);
-        uint64_t keys = 0, bytes = 0;
-        for (const auto& [k, v] : model) {
-          ++keys;
-          bytes += k.size() + v.size();
-        }
-        ckpt_walked_keys_.push_back(keys);
-        ckpt_walked_bytes_.push_back(bytes);
-        script_.push_back({});  // no commands
-        continue;
-      }
-      std::vector<Cmd> batch;
-      std::set<std::string> used;
-      for (uint32_t j = 0; j < kBatch; ++j) {
-        std::string key;
-        do {
-          key = "k" + std::to_string(rng.NextBelow(10));
-        } while (used.count(key) != 0);
-        used.insert(key);
-        if (model.count(key) != 0 && rng.NextBelow(4) == 0) {
-          batch.push_back(Cmd{true, key, {}});
-          model.erase(key);
-        } else {
-          batch.push_back(
-              Cmd{false, key, ValueFor(i * kBatch + j, rng.NextBelow(6) == 0)});
-          model[key] = batch.back().value;
-        }
-      }
-      std::vector<repl::ReplOp> rops;
-      for (const Cmd& c : batch) {
-        repl::ReplOp op;
-        op.kind = c.remove ? repl::ReplOp::Kind::kDel : repl::ReplOp::Kind::kPut;
-        op.key = c.key;
-        if (!c.remove) {
-          op.record.fields.push_back(c.value);
-        }
-        rops.push_back(std::move(op));
-      }
-      std::string f;
-      repl::EncodeBatch(rops, &f);
-      frames_.push_back(std::move(f));
-      script_.push_back(std::move(batch));
-      ++next_rec;
-    }
-    writes_before_.push_back(next_rec - 1);
-    ckpts_before_.push_back(ckpt_begin_.size());
+// The key's value after `c` (an HSET of an absent key changes nothing).
+std::optional<std::string> After(const KvCmd& c, std::optional<std::string> v) {
+  if (c.kind == KvCmd::Kind::kDel) {
+    return std::nullopt;
   }
-
-  const std::string& name() const override { return name_; }
-  size_t op_count() const override { return script_.size(); }
-
-  void Setup(JnvmRuntime& rt) override {
-    backend_ = OpenStore(rt, "store");
-    log_ = repl::ReplLog::OpenOrCreate(&rt, "log", TinyLog());
-    ckpt::CkptMeta::Class();
-    meta_ = std::make_shared<ckpt::CkptMeta>(rt);
-    rt.root().Put("ckptmeta", meta_.get());
-    rt.Psync();
+  if (c.kind == KvCmd::Kind::kHset && !v.has_value()) {
+    return v;
   }
+  return c.value;
+}
 
-  void RunOp(JnvmRuntime& rt, size_t i) override {
-    if (i % kCkptEvery == kCkptEvery - 1) {
-      // The fuzzy walk: snapshot-cursor accounting (no copying — the store
-      // IS the image), then the finalize sequence of ExecuteCkpt.
-      uint64_t keys = 0, bytes = 0;
-      backend_->ForEachRecordIf(
-          {}, [&](const std::string& k, const store::Record& r) {
-            ++keys;
-            bytes += k.size() + r.TotalBytes();
-          });
-      rt.heap().BeginGroupCommit();
-      rt.Psync();  // every sealed batch's store effects durable before begin
-      const uint64_t begin = log_->next_seq();
-      meta_->Publish(begin, begin - 1, keys, bytes);
-      rt.Pfence();  // meta durable before the truncation unlinks
-      log_->TruncateBelow(begin);
-      rt.heap().EndGroupCommit();
-      rt.Psync();  // seals the ring-slot unlinks before the deferred frees
-      rt.DrainGroupFrees();
-      return;
-    }
-    rt.heap().BeginGroupCommit();
-    for (const Cmd& c : script_[i]) {
-      if (c.remove) {
-        backend_->Remove(c.key);
+KvState Fold(const std::vector<KvBatch>& script, size_t batches) {
+  KvState s;
+  for (size_t i = 0; i < batches; ++i) {
+    for (const KvCmd& c : script[i]) {
+      const auto v = After(c, Lookup(s, c.key));
+      if (v.has_value()) {
+        s[c.key] = *v;
       } else {
-        store::Record r;
-        r.fields.push_back(c.value);
-        backend_->Put(c.key, r);
+        s.erase(c.key);
       }
     }
-    log_->Append(log_->next_seq(), frames_[writes_before_[i]]);
-    rt.heap().EndGroupCommit();
-    rt.Psync();
-    rt.DrainGroupFrees();
   }
+  return s;
+}
 
-  void Check(JnvmRuntime& rt, const CrashCut& cut,
-             std::vector<std::string>* out) override {
-    const bool has_inflight =
-        cut.in_flight.has_value() && *cut.in_flight < script_.size();
-    const bool inflight_ckpt =
-        has_inflight && *cut.in_flight % kCkptEvery == kCkptEvery - 1;
-    const bool inflight_write = has_inflight && !inflight_ckpt;
+const char* OpName(const KvCmd& c) {
+  return c.kind == KvCmd::Kind::kSet ? "SET" : c.kind == KvCmd::Kind::kDel ? "DEL" : "HSET";
+}
 
-    auto log = repl::ReplLog::OpenOrCreate(&rt, "log", TinyLog());
-    if (log->needs_snapshot()) {
-      out->push_back("log reports needs_snapshot on a primary");
-      return;
-    }
-    ckpt::CkptMeta::Class();
-    auto meta = rt.root().GetAs<ckpt::CkptMeta>("ckptmeta");
-    if (meta == nullptr) {
-      out->push_back("checkpoint meta root binding lost");
-      return;
-    }
-
-    // Sealed boundary (as in "repl"): committed write batches, +1 only when
-    // the in-flight op is a write batch whose record lines survived.
-    const uint64_t c_w = writes_before_[cut.committed];
-    const uint64_t sealed = log->next_seq() - 1;
-    if (sealed != c_w && !(inflight_write && sealed == c_w + 1)) {
-      out->push_back("log retains " + std::to_string(sealed) +
-                     " records, want " + std::to_string(c_w) +
-                     (inflight_write ? " or +1" : ""));
-      return;
-    }
-
-    // Meta: exact for a cut outside a checkpoint op; per-field old-or-new
-    // when the crash fell inside one (Publish is plain 8-byte stores).
-    const size_t c_k = ckpts_before_[cut.committed];
-    const uint64_t begin_old = c_k == 0 ? 1 : ckpt_begin_[c_k - 1];
-    const uint64_t keys_old = c_k == 0 ? 0 : ckpt_walked_keys_[c_k - 1];
-    const uint64_t bytes_old = c_k == 0 ? 0 : ckpt_walked_bytes_[c_k - 1];
-    if (!inflight_ckpt) {
-      if (meta->Count() != c_k || meta->BeginSeq() != begin_old ||
-          meta->EndSeq() != begin_old - 1 || meta->WalkedKeys() != keys_old ||
-          meta->WalkedBytes() != bytes_old) {
-        out->push_back("checkpoint meta mismatch: count=" +
-                       std::to_string(meta->Count()) + " begin=" +
-                       std::to_string(meta->BeginSeq()) + ", want count=" +
-                       std::to_string(c_k) + " begin=" +
-                       std::to_string(begin_old));
-      }
+// The batch's replication record exactly as Shard::Execute builds it.
+std::string FrameOf(const KvBatch& b) {
+  std::vector<repl::ReplOp> rops;
+  for (const KvCmd& c : b) {
+    repl::ReplOp op;
+    op.key = c.key;
+    if (c.kind == KvCmd::Kind::kSet) {
+      op.kind = repl::ReplOp::Kind::kPut;
+      op.record.fields.push_back(c.value);
+    } else if (c.kind == KvCmd::Kind::kDel) {
+      op.kind = repl::ReplOp::Kind::kDel;
     } else {
-      const uint64_t begin_new = ckpt_begin_[c_k];
-      auto either = [](uint64_t got, uint64_t a, uint64_t b) {
-        return got == a || got == b;
-      };
-      if (!either(meta->Count(), c_k, c_k + 1) ||
-          !either(meta->BeginSeq(), begin_old, begin_new) ||
-          !either(meta->EndSeq(), begin_old - 1, begin_new - 1) ||
-          !either(meta->WalkedKeys(), keys_old, ckpt_walked_keys_[c_k]) ||
-          !either(meta->WalkedBytes(), bytes_old, ckpt_walked_bytes_[c_k])) {
-        out->push_back("in-flight checkpoint left torn meta: count=" +
-                       std::to_string(meta->Count()) + " begin=" +
-                       std::to_string(meta->BeginSeq()));
-      }
+      op.kind = repl::ReplOp::Kind::kUpdate;
+      op.value = c.value;
     }
-    // LSN invariant: whatever begin recovery reads, it clamps inside the
-    // retained log — never a replay gap.
-    if (meta->BeginSeq() > log->next_seq()) {
-      out->push_back("checkpoint begin " + std::to_string(meta->BeginSeq()) +
-                     " ahead of log next " + std::to_string(log->next_seq()));
-    }
-
-    // Every retained record must byte-match the script's frame.
-    std::string payload;
-    for (uint64_t q = log->start_seq(); q < log->next_seq(); ++q) {
-      if (!log->Read(q, &payload)) {
-        out->push_back("record " + std::to_string(q) + " unreadable");
-      } else if (payload != frames_[q - 1]) {
-        out->push_back("record " + std::to_string(q) +
-                       " does not match the script");
-      }
-    }
-
-    // Recovery = image + tail replay from the clamped checkpoint bound
-    // (exactly Shard::Open → RedoLogTail).
-    auto backend = OpenStore(rt, "store");
-    const uint64_t replay_from = std::min(
-        std::max(meta->BeginSeq(), log->start_seq()), log->next_seq());
-    for (uint64_t q = replay_from; q < log->next_seq(); ++q) {
-      if (!log->Read(q, &payload)) {
-        out->push_back("replay record " + std::to_string(q) + " unreadable");
-        continue;
-      }
-      std::vector<repl::ReplOp> rops;
-      if (!repl::DecodeBatch(payload, &rops)) {
-        out->push_back("replay record " + std::to_string(q) + " corrupt");
-        continue;
-      }
-      for (const repl::ReplOp& op : rops) {
-        if (op.kind == repl::ReplOp::Kind::kPut) {
-          backend->Put(op.key, op.record);
-        } else if (op.kind == repl::ReplOp::Kind::kDel) {
-          backend->Remove(op.key);
-        }
-      }
-    }
-
-    // Full-log-replay oracle: the tail-replayed store must equal the state
-    // after ALL sealed batches (old-or-new per key for an unsealed
-    // in-flight write batch).
-    std::map<std::string, std::string> expected;
-    {
-      uint64_t rec = 0;
-      for (size_t i = 0; i < script_.size() && rec < sealed; ++i) {
-        if (i % kCkptEvery == kCkptEvery - 1) {
-          continue;
-        }
-        ++rec;
-        for (const Cmd& c : script_[i]) {
-          if (c.remove) {
-            expected.erase(c.key);
-          } else {
-            expected[c.key] = c.value;
-          }
-        }
-      }
-    }
-    const std::vector<Cmd>* inflight =
-        inflight_write ? &script_[*cut.in_flight] : nullptr;
-    const bool inflight_unsealed = inflight != nullptr && sealed == c_w;
-    auto inflight_cmd = [&](const std::string& k) -> const Cmd* {
-      if (!inflight_unsealed) {
-        return nullptr;
-      }
-      for (const Cmd& c : *inflight) {
-        if (c.key == k) {
-          return &c;
-        }
-      }
-      return nullptr;
-    };
-
-    std::map<std::string, std::string> got = StoreValues(*backend, out);
-    for (const auto& [k, v] : expected) {
-      if (inflight_cmd(k) != nullptr) {
-        continue;
-      }
-      const auto it = got.find(k);
-      if (it == got.end()) {
-        out->push_back("sealed key " + k + " lost after tail replay from " +
-                       std::to_string(replay_from));
-      } else if (it->second != v) {
-        out->push_back("sealed key " + k + " has '" + it->second +
-                       "', want '" + v + "' after tail replay");
-      }
-    }
-    for (const auto& [k, v] : got) {
-      if (expected.count(k) == 0 && inflight_cmd(k) == nullptr) {
-        out->push_back("phantom key " + k + " after tail replay");
-      }
-    }
-    if (inflight_unsealed) {
-      for (const Cmd& c : *inflight) {
-        const auto it = got.find(c.key);
-        const auto old_it = expected.find(c.key);
-        if (it == got.end()) {
-          if (!c.remove && old_it != expected.end()) {
-            out->push_back("in-flight batch erased pre-existing key " + c.key);
-          }
-          continue;
-        }
-        const bool is_old =
-            old_it != expected.end() && it->second == old_it->second;
-        const bool is_new = !c.remove && it->second == c.value;
-        if (!is_old && !is_new) {
-          out->push_back("in-flight batch left torn value '" + it->second +
-                         "' for key " + c.key);
-        }
-      }
-    }
-    rt.Psync();  // leave the heap quiescent for the checker's I1–I7 audit
+    rops.push_back(std::move(op));
   }
+  std::string f;
+  repl::EncodeBatch(rops, &f);
+  return f;
+}
 
- private:
-  static repl::ReplLogOptions TinyLog() {
-    repl::ReplLogOptions o;
-    o.segment_bytes = 256;  // a few records per segment: truncation bites
-    o.max_segments = 6;
-    return o;
+constexpr uint64_t kClientConn = 1;
+
+// Batch i's client requests; command j is request seq i * cmds + j + 1.
+std::vector<server::Request> ClientBatch(const KvBatch& b, size_t i) {
+  std::vector<server::Request> reqs;
+  for (size_t j = 0; j < b.size(); ++j) {
+    server::Request r;
+    r.op = b[j].kind == KvCmd::Kind::kSet   ? server::Request::Op::kSet
+           : b[j].kind == KvCmd::Kind::kDel ? server::Request::Op::kDel
+                                            : server::Request::Op::kHset;
+    r.key = b[j].key;
+    r.value = b[j].value;
+    r.conn_id = kClientConn;
+    r.seq = i * b.size() + j + 1;
+    reqs.push_back(std::move(r));
   }
+  return reqs;
+}
 
-  std::string name_;
-  std::vector<std::vector<Cmd>> script_;   // empty vector = checkpoint op
-  std::vector<std::string> frames_;        // frames_[seq - 1]
-  std::vector<uint64_t> writes_before_;    // write ops among [0, i)
-  std::vector<size_t> ckpts_before_;       // ckpt ops among [0, i)
-  std::vector<uint64_t> ckpt_begin_;       // per ckpt op: the begin it seals
-  std::vector<uint64_t> ckpt_walked_keys_;
-  std::vector<uint64_t> ckpt_walked_bytes_;
-  Handle<server::KvMap> backend_;
-  std::unique_ptr<repl::ReplLog> log_;
-  Handle<ckpt::CkptMeta> meta_;
+// One shipped record for a follower's apply path (the ReplClient submits it
+// as an internal request: no reply).
+std::vector<server::Request> ApplyBatch(uint64_t seq, const std::string& frame) {
+  std::vector<server::Request> reqs(1);
+  reqs[0].op = server::Request::Op::kApply;
+  repl::EncodeRecord(seq, frame, &reqs[0].value);
+  return reqs;
+}
+
+// What the shard told its clients: every delivered reply by request seq, and
+// the last sealed seq its seal hook acked.
+struct Delivered final : server::CompletionSink {
+  std::map<uint64_t, std::string> replies;
+  uint64_t acked = 0;
+  void OnCompletion(server::Completion&& c) override {
+    if (!c.stream) {
+      replies[c.seq] = std::move(c.reply);
+    }
+  }
 };
 
-// "repl-apply" models the *replica* apply path plus the post-crash resync:
-// each checker op applies one shipped record under group commit and mirrors
-// it into the local log (Shard::ExecuteApply). Check performs the replica's
-// full restart sequence — redo tail, then re-pull every record past the
-// sealed boundary (what REPLSYNC from sealed+1 delivers) — and the store
-// must land exactly on the full-script state: acknowledged-by-primary data
-// survives any replica crash, and re-applying records is idempotent.
-
-class ReplApplyWorkload final : public Workload {
- public:
-  static constexpr uint32_t kBatch = 3;
-
-  ReplApplyWorkload(uint64_t seed, size_t n) : name_("repl-apply") {
-    Xorshift rng(seed);
-    std::set<std::string> live;
-    script_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      std::vector<ReplWorkload::Cmd> batch;
-      std::set<std::string> used;
-      for (uint32_t j = 0; j < kBatch; ++j) {
-        std::string key;
-        do {
-          key = "k" + std::to_string(rng.NextBelow(10));
-        } while (used.count(key) != 0);
-        used.insert(key);
-        if (live.count(key) != 0 && rng.NextBelow(4) == 0) {
-          batch.push_back(ReplWorkload::Cmd{true, key, {}});
-          live.erase(key);
-        } else {
-          batch.push_back(ReplWorkload::Cmd{
-              false, key, ValueFor(i * kBatch + j, rng.NextBelow(6) == 0)});
-          live.insert(key);
-        }
-      }
-      std::vector<repl::ReplOp> rops;
-      for (const ReplWorkload::Cmd& c : batch) {
-        repl::ReplOp op;
-        op.kind = c.remove ? repl::ReplOp::Kind::kDel : repl::ReplOp::Kind::kPut;
-        op.key = c.key;
-        if (!c.remove) {
-          op.record.fields.push_back(c.value);
-        }
-        rops.push_back(std::move(op));
-      }
-      std::string f;
-      repl::EncodeBatch(rops, &f);
-      frames_.push_back(std::move(f));
-      ops_.push_back(std::move(rops));
-      script_.push_back(std::move(batch));
-    }
+// Parses consecutive RESP replies; false on a malformed stream.
+bool ParseReplies(const std::string& bytes, std::vector<server::RespReply>* out) {
+  server::RespReplyParser p;
+  p.Feed(bytes.data(), bytes.size());
+  server::RespReply r;
+  std::string err;
+  server::RespParser::Status st;
+  while ((st = p.Next(&r, &err)) == server::RespParser::Status::kCommand) {
+    out->push_back(std::move(r));
   }
+  return st == server::RespParser::Status::kNeedMore;
+}
 
-  const std::string& name() const override { return name_; }
-  size_t op_count() const override { return script_.size(); }
-
-  void Setup(JnvmRuntime& rt) override {
-    backend_ = OpenStore(rt, "shard0");
-    log_ = repl::ReplLog::OpenOrCreate(&rt, "repl0", TinyLog());
-    rt.Psync();
-  }
-
-  void RunOp(JnvmRuntime& rt, size_t i) override {
-    // Shard::ExecuteApply: apply the record's ops, mirror the record into
-    // the local log with the primary's sequence number, one Psync for both.
-    rt.heap().BeginGroupCommit();
-    Apply(ops_[i]);
-    log_->Append(static_cast<uint64_t>(i) + 1, frames_[i]);
-    rt.heap().EndGroupCommit();
-    rt.Psync();
-    rt.DrainGroupFrees();
-  }
-
-  void Check(JnvmRuntime& rt, const CrashCut& cut,
-             std::vector<std::string>* out) override {
-    auto log = repl::ReplLog::OpenOrCreate(&rt, "repl0", TinyLog());
-    backend_ = OpenStore(rt, "shard0");
-    if (log->needs_snapshot()) {
-      out->push_back("log reports needs_snapshot without a snapshot install");
-      return;
-    }
-    const uint64_t c = cut.committed;
-    const bool has_inflight =
-        cut.in_flight.has_value() && *cut.in_flight < script_.size();
-    const uint64_t sealed = log->next_seq() - 1;
-    if (sealed != c && !(has_inflight && sealed == c + 1)) {
-      out->push_back("log retains " + std::to_string(sealed) +
-                     " records, want " + std::to_string(c) +
-                     (has_inflight ? " or +1" : ""));
-      return;
-    }
-    std::string payload;
-    for (uint64_t q = log->start_seq(); q < log->next_seq(); ++q) {
-      if (!log->Read(q, &payload) || payload != frames_[q - 1]) {
-        out->push_back("record " + std::to_string(q) +
-                       " unreadable or does not match the shipped frame");
-      }
-    }
-
-    // Restart sequence: redo the tail record, then resync — REPLSYNC from
-    // sealed+1 re-delivers every later record; apply them all.
-    if (sealed > 0) {
-      Apply(ops_[sealed - 1]);  // redo tail
-    }
-    for (uint64_t q = sealed; q < script_.size(); ++q) {
-      Apply(ops_[q]);  // resync stream
-    }
-    rt.Psync();
-
-    // After redo + resync the store must equal the full-script state.
-    std::map<std::string, std::string> expected;
-    for (const auto& batch : script_) {
-      for (const ReplWorkload::Cmd& cmd : batch) {
-        if (cmd.remove) {
-          expected.erase(cmd.key);
-        } else {
-          expected[cmd.key] = cmd.value;
-        }
-      }
-    }
-    std::map<std::string, std::string> got = StoreValues(*backend_, out);
-    for (const auto& [k, v] : expected) {
-      const auto it = got.find(k);
-      if (it == got.end()) {
-        out->push_back("post-resync key " + k + " lost");
-      } else if (it->second != v) {
-        out->push_back("post-resync key " + k + " has '" + it->second +
-                       "', want '" + v + "'");
-      }
-    }
-    for (const auto& [k, v] : got) {
-      if (expected.count(k) == 0) {
-        out->push_back("post-resync phantom key " + k);
-      }
-    }
-  }
-
- private:
-  static repl::ReplLogOptions TinyLog() {
-    repl::ReplLogOptions o;
-    o.segment_bytes = 256;
-    o.max_segments = 3;
-    return o;
-  }
-
-  void Apply(const std::vector<repl::ReplOp>& rops) {
-    for (const repl::ReplOp& op : rops) {
-      switch (op.kind) {
-        case repl::ReplOp::Kind::kPut:
-          backend_->Put(op.key, op.record);
-          break;
-        case repl::ReplOp::Kind::kDel:
-          backend_->Remove(op.key);
-          break;
-        case repl::ReplOp::Kind::kUpdate:
-          backend_->UpdateField(op.key, op.field, op.value);
-          break;
-        default:
-          break;  // these scripts carry no txn ops
-      }
-    }
-  }
-
-  std::string name_;
-  std::vector<std::vector<ReplWorkload::Cmd>> script_;
-  std::vector<std::vector<repl::ReplOp>> ops_;
-  std::vector<std::string> frames_;
-  Handle<server::KvMap> backend_;
-  std::unique_ptr<repl::ReplLog> log_;
-};
-
-// "wait" models the WAIT-K ack contract from the follower's side. The
-// primary releases a parked batch only after a follower's apply-batch Psync
-// retires — the exact event after which the seal hook emits REPLACK. One
-// checker op is therefore one *acked unit*: apply the shipped record's ops,
-// mirror the record into the local log, one Psync (Shard::ExecuteApply).
-//
-// The oracle enforces "WAIT-acked implies replayable from the follower's
-// log": a committed (= acked to the primary) record missing from the
-// recovered log is THE violation — the primary told a client the write
-// reached the replica, so no replica crash may lose it. Concretely:
-//   * sealed (= log->next_seq()-1) must be >= committed; sealed may exceed
-//     it by exactly one when the crash interrupted an op after its append
-//     sealed but before the checker observed the fence retire,
-//   * every sealed record must byte-match the shipped frame,
-//   * redoing the tail record must land the store exactly on the state
-//     after `sealed` batches — the in-flight batch's keys may read old or
-//     new (its store writes race the crash) but never torn, and no other
-//     key may deviate.
-class WaitWorkload final : public Workload {
- public:
-  static constexpr uint32_t kBatch = 3;
-
-  WaitWorkload(uint64_t seed, size_t n) : name_("wait") {
-    Xorshift rng(seed);
-    std::set<std::string> live;
-    script_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      std::vector<ReplWorkload::Cmd> batch;
-      std::set<std::string> used;
-      for (uint32_t j = 0; j < kBatch; ++j) {
-        std::string key;
-        do {
-          key = "k" + std::to_string(rng.NextBelow(10));
-        } while (used.count(key) != 0);
-        used.insert(key);
-        if (live.count(key) != 0 && rng.NextBelow(4) == 0) {
-          batch.push_back(ReplWorkload::Cmd{true, key, {}});
-          live.erase(key);
-        } else {
-          batch.push_back(ReplWorkload::Cmd{
-              false, key, ValueFor(i * kBatch + j, rng.NextBelow(6) == 0)});
-          live.insert(key);
-        }
-      }
-      std::vector<repl::ReplOp> rops;
-      for (const ReplWorkload::Cmd& c : batch) {
-        repl::ReplOp op;
-        op.kind = c.remove ? repl::ReplOp::Kind::kDel : repl::ReplOp::Kind::kPut;
-        op.key = c.key;
-        if (!c.remove) {
-          op.record.fields.push_back(c.value);
-        }
-        rops.push_back(std::move(op));
-      }
-      std::string f;
-      repl::EncodeBatch(rops, &f);
-      frames_.push_back(std::move(f));
-      ops_.push_back(std::move(rops));
-      script_.push_back(std::move(batch));
-    }
-  }
-
-  const std::string& name() const override { return name_; }
-  size_t op_count() const override { return script_.size(); }
-
-  void Setup(JnvmRuntime& rt) override {
-    backend_ = OpenStore(rt, "shard0");
-    log_ = repl::ReplLog::OpenOrCreate(&rt, "repl0", TinyLog());
-    rt.Psync();
-  }
-
-  void RunOp(JnvmRuntime& rt, size_t i) override {
-    rt.heap().BeginGroupCommit();
-    Apply(ops_[i]);
-    log_->Append(static_cast<uint64_t>(i) + 1, frames_[i]);
-    rt.heap().EndGroupCommit();
-    rt.Psync();  // <- the ack point: after this retires, REPLACK may go out
-    rt.DrainGroupFrees();
-  }
-
-  void Check(JnvmRuntime& rt, const CrashCut& cut,
-             std::vector<std::string>* out) override {
-    auto log = repl::ReplLog::OpenOrCreate(&rt, "repl0", TinyLog());
-    backend_ = OpenStore(rt, "shard0");
-    if (log->needs_snapshot()) {
-      out->push_back("log reports needs_snapshot without a snapshot install");
-      return;
-    }
-    const uint64_t c = cut.committed;
-    const bool has_inflight =
-        cut.in_flight.has_value() && *cut.in_flight < script_.size();
-    const uint64_t sealed = log->next_seq() - 1;
-    if (sealed < c) {
-      out->push_back("acked record lost: log retains " +
-                     std::to_string(sealed) + " records but " +
-                     std::to_string(c) + " were acked to the primary");
-      return;
-    }
-    if (sealed != c && !(has_inflight && sealed == c + 1)) {
-      out->push_back("log retains " + std::to_string(sealed) +
-                     " records, want " + std::to_string(c) +
-                     (has_inflight ? " or +1" : ""));
-      return;
-    }
-    std::string payload;
-    for (uint64_t q = log->start_seq(); q < log->next_seq(); ++q) {
-      if (!log->Read(q, &payload) || payload != frames_[q - 1]) {
-        out->push_back("acked record " + std::to_string(q) +
-                       " unreadable or does not match the shipped frame");
-      }
-    }
-
-    // Replica restart: redo the tail record, then compare against the state
-    // exactly `sealed` batches in.
-    if (sealed > 0) {
-      Apply(ops_[sealed - 1]);
-    }
-    rt.Psync();
-
-    std::map<std::string, std::string> expected;
-    for (uint64_t b = 0; b < sealed; ++b) {
-      for (const ReplWorkload::Cmd& cmd : script_[b]) {
-        if (cmd.remove) {
-          expected.erase(cmd.key);
-        } else {
-          expected[cmd.key] = cmd.value;
-        }
-      }
-    }
-    // Keys the unsealed in-flight batch touched may be old or new: its
-    // store mutations happened before the crash but its record never
-    // sealed, so the resync stream will re-deliver it.
-    std::map<std::string, const ReplWorkload::Cmd*> inflight;
-    if (has_inflight && sealed == c) {
-      for (const ReplWorkload::Cmd& cmd : script_[c]) {
-        inflight[cmd.key] = &cmd;
-      }
-    }
-
-    std::map<std::string, std::string> got = StoreValues(*backend_, out);
-    std::set<std::string> keys;
-    for (const auto& [k, v] : expected) keys.insert(k);
-    for (const auto& [k, v] : got) keys.insert(k);
-    for (const auto& [k, cmd] : inflight) keys.insert(k);
-    for (const std::string& k : keys) {
-      const auto eit = expected.find(k);
-      const auto git = got.find(k);
-      const auto iit = inflight.find(k);
-      if (iit != inflight.end()) {
-        const bool old_ok = (git == got.end() && eit == expected.end()) ||
-                            (git != got.end() && eit != expected.end() &&
-                             git->second == eit->second);
-        const bool new_ok = iit->second->remove
-                                ? git == got.end()
-                                : git != got.end() &&
-                                      git->second == iit->second->value;
-        if (!old_ok && !new_ok) {
-          out->push_back("in-flight key " + k + " torn: '" +
-                         (git == got.end() ? std::string("<absent>")
-                                           : git->second) +
-                         "' is neither the pre- nor post-batch value");
-        }
-        continue;
-      }
-      if (eit == expected.end()) {
-        out->push_back("phantom key " + k + " after replaying acked prefix");
-      } else if (git == got.end()) {
-        out->push_back("acked key " + k + " lost");
-      } else if (git->second != eit->second) {
-        out->push_back("acked key " + k + " has '" + git->second +
-                       "', want '" + eit->second + "'");
-      }
-    }
-  }
-
- private:
-  static repl::ReplLogOptions TinyLog() {
-    repl::ReplLogOptions o;
-    o.segment_bytes = 256;
-    o.max_segments = 3;
-    return o;
-  }
-
-  void Apply(const std::vector<repl::ReplOp>& rops) {
-    for (const repl::ReplOp& op : rops) {
-      switch (op.kind) {
-        case repl::ReplOp::Kind::kPut:
-          backend_->Put(op.key, op.record);
-          break;
-        case repl::ReplOp::Kind::kDel:
-          backend_->Remove(op.key);
-          break;
-        case repl::ReplOp::Kind::kUpdate:
-          backend_->UpdateField(op.key, op.field, op.value);
-          break;
-        default:
-          break;  // these scripts carry no txn ops
-      }
-    }
-  }
-
-  std::string name_;
-  std::vector<std::vector<ReplWorkload::Cmd>> script_;
-  std::vector<std::vector<repl::ReplOp>> ops_;
-  std::vector<std::string> frames_;
-  Handle<server::KvMap> backend_;
-  std::unique_ptr<repl::ReplLog> log_;
-};
-
-// "read-your-writes" models the session-read contract (DESIGN.md §8) across
-// replica crashes: a client holds a MINSEQ token for every write the primary
-// acked to it, and a replica may only answer its reads from a state whose
-// applied watermark covers the token. Each checker op is one shipped record
-// applied and mirrored under one Psync — the exact event after which
-// Shard::PublishReplStats advances the watermark and parked session reads
-// are released. The crash cuts at every persistence event inside that op.
-//
-// Oracle, per cut:
-//   * the recovered watermark (sealed = log->next_seq()-1) never regresses
-//     below the ack point: sealed >= committed (sealed == committed + 1 only
-//     when the in-flight op's append happened to seal),
-//   * for every session token m in [1, sealed] — every read a client could
-//     legally issue after recovery — the store's value for the key written
-//     at seq m carries a version >= m: no read EVER observes state older
-//     than the reader's min-seq token,
-//   * the full store equals the replay of exactly `sealed` records, with
-//     the usual old-or-new allowance for the unsealed in-flight record's
-//     key — old is fine for *that* key because its seq is > every issuable
-//     token.
-//
-// Each record writes exactly one key (round-robin over a small key set) with
-// the value "v<op-index>", so a stale read is always distinguishable as a
-// too-small version number.
-class ReadYourWritesWorkload final : public Workload {
- public:
-  static constexpr int kKeys = 5;
-
-  ReadYourWritesWorkload(uint64_t seed, size_t n) : name_("read-your-writes") {
-    Xorshift rng(seed);
-    script_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      // Round-robin keys with a random skip so every key accumulates
-      // multiple versions at irregular seq distances.
-      const int k = static_cast<int>((i + rng.NextBelow(2)) % kKeys);
-      script_.push_back(Op{"k" + std::to_string(k),
-                           ValueFor(i, rng.NextBelow(6) == 0)});
-      repl::ReplOp rop;
-      rop.kind = repl::ReplOp::Kind::kPut;
-      rop.key = script_.back().key;
-      rop.record.fields.push_back(script_.back().value);
-      std::string f;
-      repl::EncodeBatch({rop}, &f);
-      frames_.push_back(std::move(f));
-    }
-  }
-
-  const std::string& name() const override { return name_; }
-  size_t op_count() const override { return script_.size(); }
-
-  void Setup(JnvmRuntime& rt) override {
-    backend_ = OpenStore(rt, "shard0");
-    log_ = repl::ReplLog::OpenOrCreate(&rt, "repl0", TinyLog());
-    rt.Psync();
-  }
-
-  void RunOp(JnvmRuntime& rt, size_t i) override {
-    rt.heap().BeginGroupCommit();
-    store::Record r;
-    r.fields.push_back(script_[i].value);
-    backend_->Put(script_[i].key, r);
-    log_->Append(static_cast<uint64_t>(i) + 1, frames_[i]);
-    rt.heap().EndGroupCommit();
-    rt.Psync();  // watermark advance: parked session reads release here
-    rt.DrainGroupFrees();
-  }
-
-  void Check(JnvmRuntime& rt, const CrashCut& cut,
-             std::vector<std::string>* out) override {
-    auto log = repl::ReplLog::OpenOrCreate(&rt, "repl0", TinyLog());
-    backend_ = OpenStore(rt, "shard0");
-    if (log->needs_snapshot()) {
-      out->push_back("log reports needs_snapshot without a snapshot install");
-      return;
-    }
-    const uint64_t c = cut.committed;
-    const bool has_inflight =
-        cut.in_flight.has_value() && *cut.in_flight < script_.size();
-    const uint64_t sealed = log->next_seq() - 1;
-    if (sealed < c) {
-      out->push_back("watermark regressed: log retains " +
-                     std::to_string(sealed) + " records but seq " +
-                     std::to_string(c) + " was already released to readers");
-      return;
-    }
-    if (sealed != c && !(has_inflight && sealed == c + 1)) {
-      out->push_back("log retains " + std::to_string(sealed) +
-                     " records, want " + std::to_string(c) +
-                     (has_inflight ? " or +1" : ""));
-      return;
-    }
-    std::string payload;
-    for (uint64_t q = log->start_seq(); q < log->next_seq(); ++q) {
-      if (!log->Read(q, &payload) || payload != frames_[q - 1]) {
-        out->push_back("record " + std::to_string(q) +
-                       " unreadable or does not match the shipped frame");
-      }
-    }
-
-    // Replica restart: redo the tail record (Shard::Open), then the store is
-    // what post-recovery session reads observe.
-    if (sealed > 0) {
-      store::Record r;
-      r.fields.push_back(script_[sealed - 1].value);
-      backend_->Put(script_[sealed - 1].key, r);
-    }
-    rt.Psync();
-
-    std::map<std::string, std::string> got = StoreValues(*backend_, out);
-
-    // The in-flight record's key (when unsealed) is old-or-new; its seq is
-    // above every issuable token, so "old" never violates a session.
-    const std::string* inflight_key =
-        has_inflight && sealed == c ? &script_[c].key : nullptr;
-
-    // Session-read oracle: every token a client could hold after recovery.
-    for (uint64_t m = 1; m <= sealed; ++m) {
-      const std::string& k = script_[m - 1].key;
-      const auto it = got.find(k);
-      if (it == got.end()) {
-        out->push_back("session read with token " + std::to_string(m) +
-                       " misses key " + k + " written at that seq");
-        continue;
-      }
-      const uint64_t version = VersionOf(it->second);
-      if (version < m) {
-        out->push_back("session read with token " + std::to_string(m) +
-                       " observed key " + k + " at version " +
-                       std::to_string(version) + " — older than the token");
-      }
-    }
-
-    // Full-store check against the replay of exactly `sealed` records.
-    std::map<std::string, std::string> expected;
-    for (uint64_t q = 0; q < sealed; ++q) {
-      expected[script_[q].key] = script_[q].value;
-    }
-    for (const auto& [k, v] : expected) {
-      if (inflight_key != nullptr && k == *inflight_key) {
-        continue;
-      }
-      const auto it = got.find(k);
-      if (it == got.end()) {
-        out->push_back("released key " + k + " lost");
-      } else if (it->second != v) {
-        out->push_back("released key " + k + " has '" + it->second +
-                       "', want '" + v + "'");
-      }
-    }
-    for (const auto& [k, v] : got) {
-      if (expected.count(k) == 0 &&
-          (inflight_key == nullptr || k != *inflight_key)) {
-        out->push_back("phantom key " + k);
-      }
-    }
-    if (inflight_key != nullptr) {
-      const auto it = got.find(*inflight_key);
-      const auto old_it = expected.find(*inflight_key);
-      if (it != got.end()) {
-        const bool is_old =
-            old_it != expected.end() && it->second == old_it->second;
-        const bool is_new = it->second == script_[c].value;
-        if (!is_old && !is_new) {
-          out->push_back("in-flight op left torn value '" + it->second +
-                         "' for key " + *inflight_key);
-        }
-      } else if (old_it != expected.end()) {
-        out->push_back("in-flight put erased pre-existing key " +
-                       *inflight_key);
-      }
-    }
-  }
-
- private:
-  struct Op {
-    std::string key;
-    std::string value;  // "v<op-index>" (+ optional padding)
+// Store half of the judge. The recovered store (`got`, from StoreValues,
+// which also checks the mirror against the durable slot cells) must equal
+// `expected`, except that each command of `inflight` leaves its key old or
+// new, and new when its reply was delivered (`delivered` holds those
+// positions).
+void JudgeStore(const KvState& got, const KvState& expected,
+                const KvBatch* inflight, const std::set<size_t>& delivered,
+                std::vector<std::string>* out) {
+  const auto show = [](const std::optional<std::string>& v) {
+    return v.has_value() ? "'" + v->substr(0, 24) + "'" : std::string("<absent>");
   };
+  std::map<std::string, size_t> pos;  // in-flight key → command index
+  std::set<std::string> keys;
+  for (size_t j = 0; inflight != nullptr && j < inflight->size(); ++j) {
+    pos[(*inflight)[j].key] = j;
+    keys.insert((*inflight)[j].key);
+  }
+  for (const auto& [k, v] : expected) keys.insert(k);
+  for (const auto& [k, v] : got) keys.insert(k);
+  for (const std::string& k : keys) {
+    const auto want = Lookup(expected, k);
+    const auto have = Lookup(got, k);
+    const auto it = pos.find(k);
+    if (it == pos.end()) {
+      if (have != want) {
+        out->push_back("key " + k + " is " + show(have) + ", want " + show(want));
+      }
+      continue;
+    }
+    const KvCmd& c = (*inflight)[it->second];
+    const auto next = After(c, want);
+    if (delivered.count(it->second) != 0) {
+      if (have != next) {
+        out->push_back(std::string("delivered ") + OpName(c) + " of key " + k +
+                       " is not durable: " + show(have) + ", want " + show(next));
+      }
+    } else if (have != want && have != next) {
+      out->push_back(std::string("in-flight ") + OpName(c) + " left key " + k +
+                     " torn: " + show(have) + " is neither " + show(want) +
+                     " nor " + show(next));
+    }
+  }
+}
 
-  static repl::ReplLogOptions TinyLog() {
-    repl::ReplLogOptions o;
-    o.segment_bytes = 256;
-    o.max_segments = 3;
-    return o;
+// Every delivered client reply is the one its command earns (+OK for SET,
+// :1 for DEL and for HSET of a live key), and its batch is one of the first
+// `durable` (its record sealed, on a shard with a log).
+void JudgeReplies(const std::vector<KvBatch>& script, uint32_t cmds,
+                  const Delivered& d, uint64_t durable,
+                  std::vector<std::string>* out) {
+  for (const auto& [seq, reply] : d.replies) {
+    const uint64_t i = (seq - 1) / cmds;
+    const KvCmd& c = script[i][(seq - 1) % cmds];
+    const char* want = c.kind == KvCmd::Kind::kSet ? "+OK\r\n" : ":1\r\n";
+    if (reply != want) {
+      out->push_back(std::string("reply to ") + OpName(c) + " of key " + c.key +
+                     " is '" + reply + "'");
+    }
+    if (i >= durable) {
+      out->push_back("reply to batch " + std::to_string(i) +
+                     " delivered, but the log seals only " +
+                     std::to_string(durable) + " batches");
+    }
+  }
+}
+
+// Positions in batch i whose replies were delivered.
+std::set<size_t> DeliveredIn(const Delivered& d, size_t i, uint32_t cmds) {
+  std::set<size_t> out;
+  for (uint32_t j = 0; j < cmds; ++j) {
+    if (d.replies.count(i * cmds + j + 1) != 0) {
+      out.insert(j);
+    }
+  }
+  return out;
+}
+
+// Log half of the judge: the recovered log seals `c` records, or c+1 when
+// the crash cut the batch that appends record c+1, and each retained record
+// byte-matches frames[seq - 1]. The records are read through the shard's
+// REPLSYNC path, as a replica would. Returns the sealed count, or nullopt
+// when it is out of range.
+std::optional<uint64_t> JudgeLog(server::Shard& shard, uint64_t c, bool inflight,
+                                 const std::vector<std::string>& frames,
+                                 std::vector<std::string>* out) {
+  const uint64_t sealed = shard.repl_next_seq() - 1;
+  if (sealed != c && !(inflight && sealed == c + 1)) {
+    out->push_back("log retains " + std::to_string(sealed) + " records, want " +
+                   std::to_string(c) + (inflight ? " or +1" : ""));
+    return std::nullopt;
+  }
+  std::vector<server::Request> sync(1);
+  sync[0].op = server::Request::Op::kReplSync;
+  sync[0].repl_seq = shard.Stats().repl.start_seq;
+  const auto waiter = std::make_shared<server::ReplWaiter>();
+  sync[0].waiter = waiter;
+  shard.RunBatch(sync);
+  std::vector<server::RespReply> replies;
+  if (!ParseReplies(waiter->error, &replies) || replies.empty() ||
+      replies[0].type != server::RespReply::Type::kSimple) {
+    out->push_back("REPLSYNC of the recovered log failed: " + waiter->error);
+    return sealed;
+  }
+  for (size_t r = 1; r < replies.size(); ++r) {
+    uint64_t seq = 0;
+    std::string_view payload;
+    if (!repl::DecodeRecord(replies[r].str, &seq, &payload) || seq == 0 ||
+        seq > frames.size() || payload != frames[seq - 1]) {
+      out->push_back("record " + std::to_string(seq) +
+                     " unreadable or does not match the script");
+    }
+  }
+  return sealed;
+}
+
+class ShardWorkload : public Workload {
+ public:
+  // The shard holds the sink's address, and the seal hook this one's.
+  ShardWorkload(const ShardWorkload&) = delete;
+  ShardWorkload& operator=(const ShardWorkload&) = delete;
+
+  const std::string& name() const override { return name_; }
+
+  void Setup(JnvmRuntime& rt) override {
+    shard_.reset();  // the last run's shard; its runtime is already gone
+    sink_ = Delivered();
+    shard_ = server::Shard::OpenOn(&rt, opts_, 0, &sink_);
+    if (opts_.follower) {
+      shard_->SetSealHook([this](uint64_t seq) { sink_.acked = seq; });
+    }
   }
 
-  // ValueFor() encodes the op index right after the leading 'v'; the op at
-  // index i seals as seq i+1.
-  static uint64_t VersionOf(const std::string& value) {
+  void Check(JnvmRuntime& rt, const CrashCut& cut,
+             std::vector<std::string>* out) override {
+    const Delivered before = sink_;
+    Delivered after;
+    std::string error;
+    auto shard = server::Shard::OpenOn(&rt, opts_, 0, &after, &error);
+    if (shard == nullptr) {
+      out->push_back("the recovered shard does not open: " + error);
+      return;
+    }
+    if (shard->repl_needs_snapshot()) {
+      out->push_back("log reports needs_snapshot without a snapshot install");
+      return;
+    }
+    Judge(*shard, cut, before, out);
+  }
+
+ protected:
+  ShardWorkload(std::string name, server::ShardOptions opts)
+      : name_(std::move(name)), opts_(opts) {}
+
+  virtual void Judge(server::Shard& shard, const CrashCut& cut,
+                     const Delivered& d, std::vector<std::string>* out) = 0;
+
+  void Run(std::vector<server::Request> batch) { shard_->RunBatch(batch); }
+
+  std::string name_;
+  server::ShardOptions opts_;
+  Delivered sink_;  // before shard_: the shard posts into it until it dies
+  std::unique_ptr<server::Shard> shard_;
+};
+
+// A shard with a four-cell slot array, so scripts sweep its growth, and
+// 256-byte log segments, so they sweep rollover, truncation and oversized
+// records.
+server::ShardOptions TinyShard(bool repl_log, bool follower, uint32_t max_segments) {
+  server::ShardOptions o;
+  o.map_capacity = 4;
+  o.repl_log = repl_log;
+  o.repl_segment_bytes = 256;
+  o.repl_max_segments = max_segments;
+  o.follower = follower;
+  return o;
+}
+
+// "server": the shard as `jnvm_server --no-repl-log` runs it. One op is one
+// batch of SET/DEL/HSET: group commit, one Psync, deferred frees, replies.
+// Sealed batches are exact; each command of the in-flight batch is old or
+// new, and new once its reply went out.
+class ServerWorkload final : public ShardWorkload {
+ public:
+  static constexpr ScriptShape kShape{6, 12, true, true};
+
+  ServerWorkload(uint64_t seed, size_t n)
+      : ShardWorkload("server", TinyShard(false, false, 0)),
+        script_(MakeScript(seed, n, kShape)) {}
+
+  size_t op_count() const override { return script_.size(); }
+
+  void RunOp(JnvmRuntime&, size_t i) override { Run(ClientBatch(script_[i], i)); }
+
+ protected:
+  void Judge(server::Shard& shard, const CrashCut& cut, const Delivered& d,
+             std::vector<std::string>* out) override {
+    const bool inflight = cut.in_flight.has_value() && *cut.in_flight < script_.size();
+    JudgeReplies(script_, kShape.cmds, d, script_.size(), out);
+    JudgeStore(StoreValues(shard.kv(), out), Fold(script_, cut.committed),
+               inflight ? &script_[cut.committed] : nullptr,
+               DeliveredIn(d, cut.committed, kShape.cmds), out);
+  }
+
+ private:
+  std::vector<KvBatch> script_;
+};
+
+// "repl" and "ckpt": the default primary. Each write batch appends one
+// record that the batch's Psync seals with the store mutations and before
+// the replies. The recovered log seals c or c+1 records, each byte-equal to
+// the script's frame; after the shard's redo tail the store equals the
+// first `sealed` batches, the in-flight batch old-or-new when its record did
+// not seal. "ckpt" puts a checkpoint in every fourth op, as the two kCkpt
+// singleton batches of CkptRunner: the fuzzy walk over every slot, then the
+// finalize (Psync → CkptMeta publish → Pfence → TruncateBelow). Its meta is
+// exact outside a checkpoint op and old-or-new per field inside one, and
+// recovery replays from the published begin, which never passes the log.
+class PrimaryWorkload final : public ShardWorkload {
+ public:
+  static constexpr ScriptShape kShape{5, 10, true, true};
+  static constexpr size_t kCkptEvery = 4;
+
+  PrimaryWorkload(std::string name, uint64_t seed, size_t n, bool ckpt)
+      : ShardWorkload(std::move(name), TinyShard(true, false, ckpt ? 6 : 3)),
+        ckpt_(ckpt),
+        n_(n) {
+    for (size_t i = 0; i < n; ++i) {
+      writes_before_.push_back(i - ckpts_before_.size());
+      ckpt_ops_before_.push_back(ckpts_before_.size());
+      if (IsCkpt(i)) {
+        ckpts_before_.push_back(writes_before_.back());
+      }
+    }
+    writes_before_.push_back(n - ckpts_before_.size());
+    ckpt_ops_before_.push_back(ckpts_before_.size());
+    script_ = MakeScript(seed, writes_before_.back(), kShape);
+    for (const KvBatch& b : script_) {
+      frames_.push_back(FrameOf(b));
+    }
+  }
+
+  size_t op_count() const override { return n_; }
+
+  void RunOp(JnvmRuntime&, size_t i) override {
+    if (!IsCkpt(i)) {
+      Run(ClientBatch(script_[writes_before_[i]], writes_before_[i]));
+      return;
+    }
+    for (uint32_t field = 0; field < 2; ++field) {
+      std::vector<server::Request> op(1);
+      op[0].op = server::Request::Op::kCkpt;
+      op[0].field = field;
+      op[0].slot_hi = cluster::kNumSlots - 1;
+      Run(std::move(op));
+    }
+  }
+
+ protected:
+  void Judge(server::Shard& shard, const CrashCut& cut, const Delivered& d,
+             std::vector<std::string>* out) override {
+    const bool has_inflight = cut.in_flight.has_value() && *cut.in_flight < n_;
+    const bool inflight_ckpt = has_inflight && IsCkpt(*cut.in_flight);
+    const bool inflight_write = has_inflight && !inflight_ckpt;
+    const uint64_t c = writes_before_[cut.committed];
+    const auto sealed = JudgeLog(shard, c, inflight_write, frames_, out);
+    if (!sealed.has_value()) {
+      return;
+    }
+    if (ckpt_) {
+      JudgeMeta(shard, cut.committed, inflight_ckpt, out);
+    }
+    JudgeReplies(script_, kShape.cmds, d, *sealed, out);
+    const bool unsealed = inflight_write && *sealed == c;
+    JudgeStore(StoreValues(shard.kv(), out), Fold(script_, *sealed),
+               unsealed ? &script_[c] : nullptr, DeliveredIn(d, c, kShape.cmds),
+               out);
+  }
+
+ private:
+  bool IsCkpt(size_t i) const { return ckpt_ && i % kCkptEvery == kCkptEvery - 1; }
+
+  // The meta the k-th checkpoint publishes: begin = the next record, and the
+  // walk's accounting of the store it saw.
+  struct Meta {
+    uint64_t count = 0, begin = 1, keys = 0, bytes = 0;
+  };
+  Meta MetaAfter(size_t k) const {
+    Meta m;
+    if (k == 0) {
+      return m;
+    }
+    m.count = k;
+    m.begin = ckpts_before_[k - 1] + 1;
+    for (const auto& [key, v] : Fold(script_, ckpts_before_[k - 1])) {
+      ++m.keys;
+      m.bytes += key.size() + v.size();
+    }
+    return m;
+  }
+
+  void JudgeMeta(server::Shard& shard, size_t committed, bool inflight,
+                 std::vector<std::string>* out) const {
+    const server::CkptStats got = shard.Stats().ckpt;
+    const size_t k = ckpt_ops_before_[committed];
+    const Meta old = MetaAfter(k);
+    const Meta next = inflight ? MetaAfter(k + 1) : old;
+    const auto either = [](uint64_t v, uint64_t a, uint64_t b) { return v == a || v == b; };
+    if (!either(got.count, old.count, next.count) ||
+        !either(got.begin_seq, old.begin, next.begin) ||
+        !either(got.end_seq, old.begin - 1, next.begin - 1) ||
+        !either(got.walked_keys, old.keys, next.keys) ||
+        !either(got.walked_bytes, old.bytes, next.bytes)) {
+      out->push_back(std::string(inflight ? "in-flight checkpoint left torn meta"
+                                          : "checkpoint meta mismatch") +
+                     ": count=" + std::to_string(got.count) +
+                     " begin=" + std::to_string(got.begin_seq) +
+                     ", want count=" + std::to_string(old.count) +
+                     " begin=" + std::to_string(old.begin) +
+                     (inflight ? " or the next checkpoint's" : ""));
+    }
+    if (got.begin_seq > shard.repl_next_seq()) {
+      out->push_back("checkpoint begin " + std::to_string(got.begin_seq) +
+                     " ahead of log next " + std::to_string(shard.repl_next_seq()));
+    }
+  }
+
+  bool ckpt_;
+  size_t n_;
+  std::vector<KvBatch> script_;         // the write batches
+  std::vector<std::string> frames_;     // frames_[seq - 1]
+  std::vector<uint64_t> writes_before_; // write ops among ops [0, i)
+  std::vector<size_t> ckpt_ops_before_; // checkpoint ops among ops [0, i)
+  std::vector<uint64_t> ckpts_before_;  // per checkpoint: writes before it
+};
+
+// "repl-apply", "wait" and "read-your-writes": a follower fed the primary's
+// sealed records as kApply requests, one record per apply batch. Each batch
+// mirrors the record into the local log under the primary's seq, and its
+// Psync seals both before the seal hook acks it.
+//   repl-apply — the replica's restart: the shard's redo tail, then the
+//     resync stream (every record past the sealed one, through the same
+//     apply path) must land on the full-script state.
+//   wait — WAIT-K from the follower's side: a record the seal hook acked is
+//     retained and replayable, and the store sits on the sealed boundary.
+//   read-your-writes — before each record, a GET carrying that record's seq
+//     as its session token parks in the shard and is released by the
+//     record's apply batch. A released read, and after recovery any read
+//     with a token up to the sealed seq, sees a version at least its token.
+class FollowerWorkload final : public ShardWorkload {
+ public:
+  enum class Mode : uint8_t { kResync, kAcks, kSessions };
+
+  FollowerWorkload(std::string name, uint64_t seed, size_t n, Mode mode)
+      : ShardWorkload(std::move(name), TinyShard(true, true, 3)),
+        mode_(mode),
+        shape_(mode == Mode::kSessions ? ScriptShape{2, 5, false, false}
+                                       : ScriptShape{4, 10, true, true}),
+        script_(MakeScript(seed, n, shape_)) {
+    for (const KvBatch& b : script_) {
+      frames_.push_back(FrameOf(b));
+    }
+  }
+
+  size_t op_count() const override { return script_.size(); }
+
+  void RunOp(JnvmRuntime&, size_t i) override {
+    if (mode_ == Mode::kSessions) {
+      server::Request read;
+      read.op = server::Request::Op::kGet;
+      read.key = script_[i][0].key;
+      read.min_seq = i + 1;
+      read.conn_id = kClientConn;
+      read.seq = i + 1;
+      shard_->GateSessionRead(read, /*now_ms=*/0);
+    }
+    Run(ApplyBatch(i + 1, frames_[i]));
+  }
+
+ protected:
+  void Judge(server::Shard& shard, const CrashCut& cut, const Delivered& d,
+             std::vector<std::string>* out) override {
+    const uint64_t c = cut.committed;
+    const bool inflight = cut.in_flight.has_value() && *cut.in_flight < script_.size();
+    // An acked record, and every completed apply batch, must survive.
+    const uint64_t retained = shard.repl_next_seq() - 1;
+    if (retained < d.acked || retained < c) {
+      out->push_back("acked record lost: log retains " + std::to_string(retained) +
+                     " records, the seal hook acked " + std::to_string(d.acked) +
+                     ", " + std::to_string(c) + " batches completed");
+      return;
+    }
+    const auto sealed = JudgeLog(shard, c, inflight, frames_, out);
+    if (!sealed.has_value()) {
+      return;
+    }
+    if (mode_ == Mode::kResync) {
+      for (uint64_t q = *sealed + 1; q <= script_.size(); ++q) {
+        auto batch = ApplyBatch(q, frames_[q - 1]);
+        shard.RunBatch(batch);
+      }
+      JudgeStore(StoreValues(shard.kv(), out), Fold(script_, script_.size()),
+                 nullptr, {}, out);
+      return;
+    }
+    const KvState got = StoreValues(shard.kv(), out);
+    if (mode_ == Mode::kSessions) {
+      JudgeSessions(got, *sealed, d, out);
+    }
+    const bool unsealed = inflight && *sealed == c;
+    JudgeStore(got, Fold(script_, *sealed), unsealed ? &script_[c] : nullptr, {},
+               out);
+  }
+
+ private:
+  // ValueFor(i * cmds + j) was written by record i + 1.
+  uint64_t VersionOf(const std::string& value) const {
     uint64_t idx = 0;
-    for (size_t p = 1; p < value.size() && value[p] >= '0' && value[p] <= '9';
-         ++p) {
+    for (size_t p = 1; p < value.size() && value[p] >= '0' && value[p] <= '9'; ++p) {
       idx = idx * 10 + static_cast<uint64_t>(value[p] - '0');
     }
-    return idx + 1;
+    return idx / shape_.cmds + 1;
   }
 
-  std::string name_;
-  std::vector<Op> script_;
-  std::vector<std::string> frames_;
-  Handle<server::KvMap> backend_;
-  std::unique_ptr<repl::ReplLog> log_;
+  void JudgeSessions(const KvState& got, uint64_t sealed, const Delivered& d,
+                     std::vector<std::string>* out) const {
+    for (const auto& [token, reply] : d.replies) {
+      std::vector<server::RespReply> r;
+      if (!ParseReplies(reply, &r) || r.size() != 1 ||
+          r[0].type != server::RespReply::Type::kBulk ||
+          VersionOf(r[0].str) < token) {
+        out->push_back("released read with token " + std::to_string(token) +
+                       " answered '" + reply.substr(0, 24) + "'");
+      }
+      if (token > sealed) {
+        out->push_back("watermark regressed: log retains " + std::to_string(sealed) +
+                       " records but a read with token " + std::to_string(token) +
+                       " was released");
+      }
+    }
+    for (uint64_t m = 1; m <= sealed; ++m) {
+      for (const KvCmd& c : script_[m - 1]) {
+        const auto v = Lookup(got, c.key);
+        if (!v.has_value() || VersionOf(*v) < m) {
+          out->push_back("session read with token " + std::to_string(m) +
+                         " observes key " + c.key + " older than the token");
+        }
+      }
+    }
+  }
+
+  Mode mode_;
+  ScriptShape shape_;
+  std::vector<KvBatch> script_;
+  std::vector<std::string> frames_;  // frames_[seq - 1]
 };
 
 // ---- Cross-shard transaction workload (DESIGN.md §9) -------------------------
@@ -3086,26 +2338,27 @@ std::unique_ptr<Workload> MakeWorkload(const std::string& kind,
   if (kind == "server") {
     return std::make_unique<ServerWorkload>(script_seed, op_count);
   }
-  if (kind == "repl") {
-    return std::make_unique<ReplWorkload>(script_seed, op_count);
+  if (kind == "repl" || kind == "ckpt") {
+    return std::make_unique<PrimaryWorkload>(kind, script_seed, op_count,
+                                             /*ckpt=*/kind == "ckpt");
   }
   if (kind == "repl-apply") {
-    return std::make_unique<ReplApplyWorkload>(script_seed, op_count);
+    return std::make_unique<FollowerWorkload>(kind, script_seed, op_count,
+                                              FollowerWorkload::Mode::kResync);
   }
   if (kind == "wait") {
-    return std::make_unique<WaitWorkload>(script_seed, op_count);
+    return std::make_unique<FollowerWorkload>(kind, script_seed, op_count,
+                                              FollowerWorkload::Mode::kAcks);
   }
   if (kind == "read-your-writes") {
-    return std::make_unique<ReadYourWritesWorkload>(script_seed, op_count);
+    return std::make_unique<FollowerWorkload>(kind, script_seed, op_count,
+                                              FollowerWorkload::Mode::kSessions);
   }
   if (kind == "txn") {
     return std::make_unique<TxnWorkload>(script_seed, op_count);
   }
   if (kind == "migrate") {
     return std::make_unique<MigrateWorkload>(script_seed, op_count);
-  }
-  if (kind == "ckpt") {
-    return std::make_unique<CkptWorkload>(script_seed, op_count);
   }
   JNVM_CHECK_MSG(false, ("unknown crashcheck workload: " + kind).c_str());
   return nullptr;

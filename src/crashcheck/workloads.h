@@ -30,20 +30,22 @@
 //              operation's fence seals it (§4.3.1: losing the bump loses
 //              the append). The oracle therefore accepts the state after
 //              j ∈ {committed-1, committed, committed+1} operations.
-//   server   — one op is one fence-batched group (Heap group commit + one
-//              Psync, then deferred frees): sealed batches are fully
-//              durable; each in-flight-batch command is independently
-//              old-or-new, never torn.
+//   server, repl, ckpt, repl-apply, wait, read-your-writes — run the
+//              shipped server::Shard (Shard::OpenOn on the checker's
+//              runtime, Shard::RunBatch per op, the shard's own open path
+//              at recovery). One batch is one group commit sealed by one
+//              Psync before its replies: a delivered reply (or, on a
+//              follower, a seal-hook ack) is durable; each command of the
+//              in-flight batch is old-or-new, never torn. With the log, the
+//              recovered log seals c or c+1 records and the redo tail lands
+//              the store on that boundary; a checkpoint's meta is
+//              old-or-new per field and never lets replay skip a record.
 //   txn      — one op is one MULTI/EXEC txn through the 2PC record
-//              sequence (DESIGN.md §9): committed ⇒ the decision record is
-//              sealed and every participant's writes are (re)applied at
-//              recovery; an undecided in-flight txn resolves all-or-nothing
-//              by the decision's presence — never a partial apply.
-//   ckpt     — write batches interleave with fuzzy-checkpoint ops
-//              (DESIGN.md §11): Psync → publish [begin,end] in CkptMeta →
-//              Pfence → TruncateBelow. Recovery from (image, log tail from
-//              the durable begin) must equal full-log replay; meta is
-//              old-or-new per field, never an unsafe replay bound.
+//              sequence (DESIGN.md §9), modelled on one heap (three
+//              shards): committed ⇒ the decision record is sealed and every
+//              participant's writes are (re)applied at recovery; an
+//              undecided in-flight txn resolves all-or-nothing by the
+//              decision's presence — never a partial apply.
 //   migrate  — one op is one step of a live slot handoff (DESIGN.md §10):
 //              writes, copy stream, and the migration state machine of
 //              both nodes' slot tables in one heap. Recovery must roll an

@@ -325,26 +325,6 @@ class PMap final : public core::PObject {
         mirror_, [&](const VKey& k, uint64_t slot) { fn(k, PairAt(slot)->Value()); });
   }
 
-  // ForEach over the keys `want` accepts: every key comes from the volatile
-  // mirror, and only accepted ones resolve their pair and value on NVMM.
-  void ForEachWhere(const std::function<bool(const VKey&)>& want,
-                    const std::function<void(const VKey&, core::Handle<core::PObject>)>& fn) {
-    std::lock_guard<std::mutex> lk(mu_);
-    MirrorForEach<typename Traits::Mirror, VKey>(
-        mirror_, [&](const VKey& k, uint64_t slot) {
-          if (want(k)) {
-            fn(k, PairAt(slot)->Value());
-          }
-        });
-  }
-
-  // Key-only walk of the volatile mirror; touches no NVMM.
-  void ForEachKey(const std::function<void(const VKey&)>& fn) {
-    std::lock_guard<std::mutex> lk(mu_);
-    MirrorForEach<typename Traits::Mirror, VKey>(
-        mirror_, [&](const VKey& k, uint64_t) { fn(k); });
-  }
-
   // Range scan over [from, to) for ordered structures (tree / skip-list
   // maps). YCSB's scan operation; hash maps have no order and cannot
   // instantiate this (the paper's Infinispan exposes scans only through an

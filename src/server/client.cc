@@ -60,6 +60,16 @@ Client::~Client() {
   }
 }
 
+std::string Client::last_error() const {
+  std::lock_guard<std::mutex> lk(err_mu_);
+  return err_;
+}
+
+void Client::SetError(std::string msg) {
+  std::lock_guard<std::mutex> lk(err_mu_);
+  err_ = std::move(msg);
+}
+
 bool Client::WriteAll(const char* data, size_t n) {
   size_t off = 0;
   while (off < n) {
@@ -70,7 +80,7 @@ bool Client::WriteAll(const char* data, size_t n) {
       if (errno == EINTR) {
         continue;
       }
-      err_ = std::string("write: ") + std::strerror(errno);
+      SetError(std::string("write: ") + std::strerror(errno));
       return false;
     }
     off += static_cast<size_t>(w);
@@ -87,7 +97,7 @@ bool Client::ReadReply(RespReply* out) {
       return true;
     }
     if (st == RespParser::Status::kError) {
-      err_ = "reply parse: " + perr;
+      SetError("reply parse: " + perr);
       return false;
     }
     const ssize_t n = ::read(fd_, buf, sizeof(buf));
@@ -95,11 +105,11 @@ bool Client::ReadReply(RespReply* out) {
       if (errno == EINTR) {
         continue;
       }
-      err_ = std::string("read: ") + std::strerror(errno);
+      SetError(std::string("read: ") + std::strerror(errno));
       return false;
     }
     if (n == 0) {
-      err_ = "connection closed by server";
+      SetError("connection closed by server");
       return false;
     }
     replies_.Feed(buf, static_cast<size_t>(n));
@@ -164,7 +174,7 @@ bool Client::Set(const std::string& key, const std::string& value) {
     return false;
   }
   if (r.type == RespReply::Type::kError) {
-    err_ = r.str;
+    SetError(r.str);
     return false;
   }
   return r.type == RespReply::Type::kSimple;
@@ -177,7 +187,7 @@ std::optional<std::string> Client::Get(const std::string& key) {
   }
   if (r.type != RespReply::Type::kBulk) {
     if (r.type == RespReply::Type::kError) {
-      err_ = r.str;
+      SetError(r.str);
     }
     return std::nullopt;
   }
@@ -216,7 +226,7 @@ bool Client::Mset(const std::vector<std::pair<std::string, std::string>>& pairs)
     return false;
   }
   if (r.type == RespReply::Type::kError) {
-    err_ = r.str;
+    SetError(r.str);
     return false;
   }
   return r.type == RespReply::Type::kSimple;
@@ -229,7 +239,7 @@ std::optional<uint64_t> Client::LastSeq(uint32_t shard) {
   }
   if (r.type != RespReply::Type::kInteger) {
     if (r.type == RespReply::Type::kError) {
-      err_ = r.str;
+      SetError(r.str);
     }
     return std::nullopt;
   }
@@ -242,7 +252,7 @@ bool Client::MinSeq(uint32_t shard, uint64_t seq) {
     return false;
   }
   if (r.type == RespReply::Type::kError) {
-    err_ = r.str;
+    SetError(r.str);
     return false;
   }
   return r.type == RespReply::Type::kSimple;
@@ -262,7 +272,7 @@ bool Client::Multi() {
     return false;
   }
   if (r.type == RespReply::Type::kError) {
-    err_ = r.str;
+    SetError(r.str);
     return false;
   }
   return r.type == RespReply::Type::kSimple;
@@ -276,9 +286,9 @@ bool Client::Exec(std::vector<RespReply>* replies) {
   }
   if (r.type != RespReply::Type::kArray) {
     if (r.type == RespReply::Type::kError) {
-      err_ = r.str;
+      SetError(r.str);
     } else {
-      err_ = "unexpected EXEC reply type";
+      SetError("unexpected EXEC reply type");
     }
     return false;
   }
@@ -292,7 +302,7 @@ bool Client::Discard() {
     return false;
   }
   if (r.type == RespReply::Type::kError) {
-    err_ = r.str;
+    SetError(r.str);
     return false;
   }
   return r.type == RespReply::Type::kSimple;
@@ -304,7 +314,7 @@ bool Client::Shutdown() {
     return false;
   }
   if (r.type == RespReply::Type::kError) {
-    err_ = r.str;
+    SetError(r.str);
     return false;
   }
   return r.type == RespReply::Type::kSimple;

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -91,19 +92,23 @@ class Client {
   // false. Used to stop replication pull loops.
   void ShutdownSocket();
 
-  const std::string& last_error() const { return err_; }
+  // Safe from any thread: a replica's acks fail in SendCommand on one
+  // thread while its pull loop fails in ReadOneReply on another.
+  std::string last_error() const;
 
  private:
   Client() = default;
 
   bool WriteAll(const char* data, size_t n);
   bool ReadReply(RespReply* out);
+  void SetError(std::string msg);
 
   int fd_ = -1;
   uint32_t queued_ = 0;
   std::string outbuf_;
   RespReplyParser replies_;
-  std::string err_;
+  mutable std::mutex err_mu_;
+  std::string err_;  // guarded by err_mu_
 };
 
 }  // namespace jnvm::server

@@ -104,14 +104,21 @@ bool InSlotRange(const std::string& key, const Request& req) {
   return s >= req.slot_lo && s <= req.slot_hi;
 }
 
+// The cap a batch of each class is picked under. batch = 0 means 1; the
+// follower's apply runs follow `batch` unless apply_batch decouples them.
+uint32_t MaxBatch(const ShardOptions& o) { return o.batch == 0 ? 1 : o.batch; }
+uint32_t ApplyCap(const ShardOptions& o) {
+  return o.apply_batch == 0 ? MaxBatch(o) : o.apply_batch;
+}
+
 constexpr char kReadonlyMsg[] = "READONLY replica - write rejected";
 
 uint64_t NowMs() { return NowNs() / 1000000ull; }
 
 }  // namespace
 
-std::unique_ptr<Shard> Shard::Open(const ShardOptions& opts, uint32_t index,
-                                   CompletionSink* sink, std::string* error) {
+std::unique_ptr<Shard> Shard::Create(const ShardOptions& opts, uint32_t index,
+                                     CompletionSink* sink) {
   JNVM_CHECK(sink != nullptr);
   JNVM_CHECK_MSG(!opts.follower || opts.repl_log,
                  "follower shards need the replication log");
@@ -136,7 +143,12 @@ std::unique_ptr<Shard> Shard::Open(const ShardOptions& opts, uint32_t index,
   repl::ReplLogRoot::Class();
   repl::ReplLogSegment::Class();
   ckpt::CkptMeta::Class();
+  return s;
+}
 
+std::unique_ptr<Shard> Shard::Open(const ShardOptions& opts, uint32_t index,
+                                   CompletionSink* sink, std::string* error) {
+  auto s = Create(opts, index, sink);
   const std::string dax = DaxPathFor(opts, index);
   const std::string image = ImagePathFor(opts, index);
   const nvm::DeviceOptions dopts = DeviceOptionsFor(opts);
@@ -146,65 +158,86 @@ std::unique_ptr<Shard> Shard::Open(const ShardOptions& opts, uint32_t index,
     // Open() recovers from it exactly like a restart from an image.
     bool existed = false;
     std::string map_err;
-    s->dev_ = nvm::PmemDevice::MapFile(dax, dopts, &existed, &map_err);
-    JNVM_CHECK_MSG(s->dev_ != nullptr, "cannot map shard dax file");
+    s->owned_dev_ = nvm::PmemDevice::MapFile(dax, dopts, &existed, &map_err);
+    JNVM_CHECK_MSG(s->owned_dev_ != nullptr, "cannot map shard dax file");
     if (existed) {
-      s->rt_ = core::JnvmRuntime::Open(s->dev_.get());  // runs recovery
+      s->owned_rt_ = core::JnvmRuntime::Open(s->owned_dev_.get());  // recovery
       s->recovered_ = true;
     } else {
-      s->rt_ = core::JnvmRuntime::Format(s->dev_.get());
+      s->owned_rt_ = core::JnvmRuntime::Format(s->owned_dev_.get());
     }
   } else if (!image.empty() && std::filesystem::exists(image)) {
-    s->dev_ = nvm::PmemDevice::LoadFrom(image, dopts);
-    JNVM_CHECK(s->dev_ != nullptr);  // existing image must be readable
-    s->rt_ = core::JnvmRuntime::Open(s->dev_.get());  // runs recovery
+    s->owned_dev_ = nvm::PmemDevice::LoadFrom(image, dopts);
+    JNVM_CHECK(s->owned_dev_ != nullptr);  // existing image must be readable
+    s->owned_rt_ = core::JnvmRuntime::Open(s->owned_dev_.get());  // recovery
     s->recovered_ = true;
   } else {
-    s->dev_ = std::make_unique<nvm::PmemDevice>(dopts);
-    s->rt_ = core::JnvmRuntime::Format(s->dev_.get());
+    s->owned_dev_ = std::make_unique<nvm::PmemDevice>(dopts);
+    s->owned_rt_ = core::JnvmRuntime::Format(s->owned_dev_.get());
   }
+  s->dev_ = s->owned_dev_.get();
+  s->rt_ = s->owned_rt_.get();
+  if (!s->Bind(error)) {
+    return nullptr;
+  }
+  s->worker_ = std::thread(&Shard::WorkerLoop, s.get());
+  return s;
+}
 
-  if (s->rt_->root().Exists(kLegacyRootName)) {
+std::unique_ptr<Shard> Shard::OpenOn(core::JnvmRuntime* rt,
+                                     const ShardOptions& opts, uint32_t index,
+                                     CompletionSink* sink, std::string* error) {
+  auto s = Create(opts, index, sink);
+  s->rt_ = rt;
+  s->dev_ = &rt->heap().dev();
+  if (!s->Bind(error)) {
+    return nullptr;
+  }
+  return s;
+}
+
+bool Shard::Bind(std::string* error) {
+  const ShardOptions& opts = opts_;
+  if (rt_->root().Exists(kLegacyRootName)) {
     if (error != nullptr) {
-      *error = "shard " + std::to_string(index) +
+      *error = "shard " + std::to_string(index_) +
                ": the heap holds the previous store layout (root '" +
                kLegacyRootName + "', three objects per key); this server keeps "
                "one KvEntry per key under '" + kRootName +
                "' and cannot read it - start it on a fresh image or dax path";
     }
-    s->quiesced_ = true;  // the worker never started: nothing to drain
-    return nullptr;
+    quiesced_ = true;  // the worker never started: nothing to drain
+    return false;
   }
-  s->kv_ = KvMap::OpenOrCreate(*s->rt_, kRootName, opts.map_capacity);
+  kv_ = KvMap::OpenOrCreate(*rt_, kRootName, opts.map_capacity);
 
   if (opts.repl_log) {
     repl::ReplLogOptions lopts;
     lopts.segment_bytes = opts.repl_segment_bytes;
     lopts.max_segments = opts.repl_max_segments;
-    s->log_ = repl::ReplLog::OpenOrCreate(s->rt_.get(), kReplRootName, lopts);
-    if (!opts.follower && s->log_->needs_snapshot()) {
+    log_ = repl::ReplLog::OpenOrCreate(rt_, kReplRootName, lopts);
+    if (!opts.follower && log_->needs_snapshot()) {
       // A crash interrupted a snapshot install and the shard now (re)starts
       // as a primary: the store image is authoritative, so open a fresh log
       // epoch. Replicas whose sequence numbers no longer line up fall back
       // to REPLSNAP bootstrap.
-      s->log_->FinishInstall(1);
-      s->rt_->Psync();
+      log_->FinishInstall(1);
+      rt_->Psync();
     }
     // Checkpoint meta (DESIGN.md §11): the durable LSN pair bounding replay.
-    if (s->rt_->root().Exists(kCkptRootName)) {
-      s->ckpt_meta_ = s->rt_->root().GetAs<ckpt::CkptMeta>(kCkptRootName);
-      JNVM_CHECK(s->ckpt_meta_ != nullptr);
+    if (rt_->root().Exists(kCkptRootName)) {
+      ckpt_meta_ = rt_->root().GetAs<ckpt::CkptMeta>(kCkptRootName);
+      JNVM_CHECK(ckpt_meta_ != nullptr);
     } else {
-      s->ckpt_meta_ = std::make_shared<ckpt::CkptMeta>(*s->rt_);
-      s->rt_->root().Put(kCkptRootName, s->ckpt_meta_.get());
+      ckpt_meta_ = std::make_shared<ckpt::CkptMeta>(*rt_);
+      rt_->root().Put(kCkptRootName, ckpt_meta_.get());
     }
-    s->ckpt_count_.store(s->ckpt_meta_->Count(), std::memory_order_relaxed);
-    s->ckpt_begin_.store(s->ckpt_meta_->BeginSeq(), std::memory_order_relaxed);
-    s->ckpt_end_.store(s->ckpt_meta_->EndSeq(), std::memory_order_relaxed);
-    s->ckpt_walked_keys_.store(s->ckpt_meta_->WalkedKeys(),
-                               std::memory_order_relaxed);
-    s->ckpt_walked_bytes_.store(s->ckpt_meta_->WalkedBytes(),
-                                std::memory_order_relaxed);
+    ckpt_count_.store(ckpt_meta_->Count(), std::memory_order_relaxed);
+    ckpt_begin_.store(ckpt_meta_->BeginSeq(), std::memory_order_relaxed);
+    ckpt_end_.store(ckpt_meta_->EndSeq(), std::memory_order_relaxed);
+    ckpt_walked_keys_.store(ckpt_meta_->WalkedKeys(), std::memory_order_relaxed);
+    ckpt_walked_bytes_.store(ckpt_meta_->WalkedBytes(),
+                             std::memory_order_relaxed);
 
     // Rebuild txn state from the retained log (DESIGN.md §9): prepares
     // stage, decisions index, markers and aborts resolve. Records before
@@ -219,33 +252,30 @@ std::unique_ptr<Shard> Shard::Open(const ShardOptions& opts, uint32_t index,
     // truncation) degrades to a broader idempotent replay, never a gap.
     txn::LogScanResult scan;
     uint64_t replay_from = 0;
-    if (!s->log_->needs_snapshot() && !s->log_->empty()) {
-      replay_from = s->log_->next_seq() - 1;
-      if (s->ckpt_meta_->Count() > 0) {
+    if (!log_->needs_snapshot() && !log_->empty()) {
+      replay_from = log_->next_seq() - 1;
+      if (ckpt_meta_->Count() > 0) {
         replay_from =
-            std::min(std::max(s->ckpt_meta_->BeginSeq(), s->log_->start_seq()),
-                     s->log_->next_seq());
+            std::min(std::max(ckpt_meta_->BeginSeq(), log_->start_seq()),
+                     log_->next_seq());
       }
-      txn::ScanLogForTxns(*s->log_, replay_from, &scan);
+      txn::ScanLogForTxns(*log_, replay_from, &scan);
     }
-    if (s->recovered_) {
-      s->RedoLogTail(replay_from, &scan);
-    }
+    // A freshly formatted heap has an empty log: the redo is a no-op there.
+    RedoLogTail(replay_from, &scan);
     for (auto& [id, t] : scan.staged) {
-      s->staged_txns_.Stage(id, std::move(t));
+      staged_txns_.Stage(id, std::move(t));
     }
     for (auto& [id, sd] : scan.decisions) {
-      s->txn_decisions_.Add(id, sd.first, std::move(sd.second));
+      txn_decisions_.Add(id, sd.first, std::move(sd.second));
     }
-    s->PublishReplStats();
+    PublishReplStats();
   }
 
   // Per-slot accounting starts from the recovered store; every later
   // mutation adjusts it incrementally on the worker thread.
-  s->RebuildSlotCounts();
-
-  s->worker_ = std::thread(&Shard::WorkerLoop, s.get());
-  return s;
+  RebuildSlotCounts();
+  return true;
 }
 
 Shard::~Shard() { Quiesce(); }
@@ -276,7 +306,7 @@ void Shard::RedoLogTail(uint64_t replay_from, txn::LogScanResult* scan) {
     if (!repl::DecodeBatch(payload, &ops)) {
       continue;  // cannot happen for a checksummed record; be defensive
     }
-    txn::ReplayRecordOps(rt_.get(), kv_.get(), ops, scan);
+    txn::ReplayRecordOps(rt_, kv_.get(), ops, scan);
     // The replay stages this record's prepares with seq 0; resolution
     // planning wants the real seq the prepare sealed under.
     for (auto& [id, t] : scan->staged) {
@@ -930,7 +960,7 @@ void Shard::ApplyPostSealTxns() {
     if (!staged_txns_.Take(id, &t)) {
       continue;  // marker for an already-resolved txn (idempotent)
     }
-    txn::ApplyStagedWrites(rt_.get(), kv_.get(), t.writes,
+    txn::ApplyStagedWrites(rt_, kv_.get(), t.writes,
                            [this](const repl::ReplOp& op, bool changed) {
                              if (changed) {
                                const int d =
@@ -1831,21 +1861,10 @@ void Shard::PublishReplStats() {
 
 void Shard::WorkerLoop() {
   std::vector<Request> batch;
-  std::vector<std::string> replies;
-  std::vector<uint8_t> wrote_flags;
-  std::vector<repl::ReplOp> rops;
-  const uint32_t max_batch = opts_.batch == 0 ? 1 : opts_.batch;
-  // Apply-side group size: how many kApply records (each one sealed primary
-  // batch) a follower folds into one local group commit. Defaults to the
-  // regular batch knob; --apply-batch decouples it from the primary's seal.
-  const uint32_t apply_cap =
-      opts_.apply_batch == 0 ? max_batch : opts_.apply_batch;
+  const uint32_t max_batch = MaxBatch(opts_);
+  const uint32_t apply_cap = ApplyCap(opts_);
   for (;;) {
     batch.clear();
-    replies.clear();
-    wrote_flags.clear();
-    rops.clear();
-    bool apply_run = false;
     {
       std::unique_lock<std::mutex> lk(mu_);
       not_empty_.wait(lk, [&] { return stopping_ || !queue_.empty(); });
@@ -1858,7 +1877,7 @@ void Shard::WorkerLoop() {
       // max_batch — class boundaries never mix two caps (or two apply
       // disciplines) within one durability point.
       const BatchClass bclass = ClassOf(queue_.front().op);
-      apply_run = bclass == BatchClass::kApplyRun;
+      const bool apply_run = bclass == BatchClass::kApplyRun;
       const uint32_t cap = apply_run ? apply_cap : max_batch;
       const size_t take = std::min<size_t>(cap, queue_.size());
       for (size_t i = 0; i < take; ++i) {
@@ -1879,78 +1898,88 @@ void Shard::WorkerLoop() {
       }
     }
     not_full_.notify_all();
+    RunBatch(batch);
+  }
+}
 
-    bool wrote = false;
-    const bool group = (apply_run ? apply_cap : max_batch) > 1;
-    const uint64_t log_first =
-        log_ != nullptr ? log_->next_seq() : 0;  // first record this batch
-    if (group) {
-      rt_->heap().BeginGroupCommit();
+void Shard::RunBatch(std::vector<Request>& batch) {
+  replies_.clear();
+  wrote_flags_.clear();
+  rops_.clear();
+  bool wrote = false;
+  // A group may share one durability point when the cap the batch was
+  // picked under admits more than one request.
+  const bool group = (ClassOf(batch.front().op) == BatchClass::kApplyRun
+                          ? ApplyCap(opts_)
+                          : MaxBatch(opts_)) > 1;
+  const uint64_t log_first =
+      log_ != nullptr ? log_->next_seq() : 0;  // first record this batch
+  if (group) {
+    rt_->heap().BeginGroupCommit();
+  }
+  for (const Request& req : batch) {
+    std::string reply;
+    const bool w = Execute(req, &reply, &rops_);
+    wrote |= w;
+    wrote_flags_.push_back(w ? 1 : 0);
+    replies_.push_back(std::move(reply));
+  }
+  if (!rops_.empty() && !log_->needs_snapshot()) {
+    // One record per batch: the group's write ops in execution order.
+    std::string bf;
+    repl::EncodeBatch(rops_, &bf);
+    log_->Append(log_->next_seq(), bf);
+  }
+  const uint64_t log_last = log_ != nullptr ? log_->next_seq() - 1 : 0;
+  const bool appended = log_ != nullptr && log_last + 1 > log_first;
+  if (group) {
+    rt_->heap().EndGroupCommit();
+    if (wrote) {
+      rt_->Psync();  // one durability point for the whole group
     }
-    for (const Request& req : batch) {
-      std::string reply;
-      const bool w = Execute(req, &reply, &rops);
-      wrote |= w;
-      wrote_flags.push_back(w ? 1 : 0);
-      replies.push_back(std::move(reply));
-    }
-    if (!rops.empty() && !log_->needs_snapshot()) {
-      // One record per batch: the group's write ops in execution order.
-      std::string bf;
-      repl::EncodeBatch(rops, &bf);
-      log_->Append(log_->next_seq(), bf);
-    }
-    const uint64_t log_last = log_ != nullptr ? log_->next_seq() - 1 : 0;
-    const bool appended = log_ != nullptr && log_last + 1 > log_first;
-    if (group) {
-      rt_->heap().EndGroupCommit();
-      if (wrote) {
-        rt_->Psync();  // one durability point for the whole group
-      }
-      // Reclaim structures orphaned by this batch's replaces/deletes — only
-      // now that their unlinks are durable.
-      rt_->DrainGroupFrees();
-    } else if (appended) {
-      // batch == 1: ops kept their own trailing durability fences, but the
-      // log record still needs sealing before it can be shipped or acked.
-      rt_->Psync();
-    }
-    // batch == 1, no log: every op kept its own trailing durability fence;
-    // no group Psync needed (ablation baseline).
-    if (log_ != nullptr) {
-      // Staged txn writes whose justifying record this batch just sealed
-      // apply now — after the seal, before the watermark publishes, so a
-      // session read released below already sees them.
-      ApplyPostSealTxns();
-      PublishReplStats();
-      // Session reads waiting on this batch's watermark advance run here,
-      // against exactly the sealed-prefix state their token named.
-      ReleaseSessionReads();
-    }
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    uint64_t prev = max_batch_.load(std::memory_order_relaxed);
-    while (batch.size() > prev &&
-           !max_batch_.compare_exchange_weak(prev, batch.size(),
-                                             std::memory_order_relaxed)) {
-    }
-    // Ship before delivering: under WAIT-K the acks that release the batch
-    // can only arrive once the subscribers have the frames.
-    if (appended) {
-      StreamToSubscribers(log_first, log_last);
-    }
-    if (appended && opts_.wait_acks > 0 && !follower()) {
-      // WAIT-K: withhold the replies until K subscribers ack log_last or
-      // the deadline passes. The worker moves straight on to the next
-      // batch — parking is pipelined, not stop-and-wait.
-      ParkBatch(log_last, batch, replies, wrote_flags);
-    } else {
-      DeliverBatch(batch, replies);
-    }
-    if (appended) {
-      // Follower role: tell the local ReplClient the apply batch is sealed
-      // so it can ack the primary (no-op when no hook is registered).
-      NotifySealHook(log_last);
-    }
+    // Reclaim structures orphaned by this batch's replaces/deletes — only
+    // now that their unlinks are durable.
+    rt_->DrainGroupFrees();
+  } else if (appended) {
+    // batch == 1: ops kept their own trailing durability fences, but the
+    // log record still needs sealing before it can be shipped or acked.
+    rt_->Psync();
+  }
+  // batch == 1, no log: every op kept its own trailing durability fence;
+  // no group Psync needed (ablation baseline).
+  if (log_ != nullptr) {
+    // Staged txn writes whose justifying record this batch just sealed
+    // apply now — after the seal, before the watermark publishes, so a
+    // session read released below already sees them.
+    ApplyPostSealTxns();
+    PublishReplStats();
+    // Session reads waiting on this batch's watermark advance run here,
+    // against exactly the sealed-prefix state their token named.
+    ReleaseSessionReads();
+  }
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  uint64_t prev = max_batch_.load(std::memory_order_relaxed);
+  while (batch.size() > prev &&
+         !max_batch_.compare_exchange_weak(prev, batch.size(),
+                                           std::memory_order_relaxed)) {
+  }
+  // Ship before delivering: under WAIT-K the acks that release the batch
+  // can only arrive once the subscribers have the frames.
+  if (appended) {
+    StreamToSubscribers(log_first, log_last);
+  }
+  if (appended && opts_.wait_acks > 0 && !follower()) {
+    // WAIT-K: withhold the replies until K subscribers ack log_last or
+    // the deadline passes. The worker moves straight on to the next
+    // batch — parking is pipelined, not stop-and-wait.
+    ParkBatch(log_last, batch, replies_, wrote_flags_);
+  } else {
+    DeliverBatch(batch, replies_);
+  }
+  if (appended) {
+    // Follower role: tell the local ReplClient the apply batch is sealed
+    // so it can ack the primary (no-op when no hook is registered).
+    NotifySealHook(log_last);
   }
 }
 
@@ -2035,6 +2064,12 @@ ShardReport Shard::Quiesce() {
   // The worker is gone, so no watermark advance will release parked reads:
   // refuse them explicitly rather than dropping the replies.
   ForceStaleReads();
+  if (owned_rt_ == nullptr) {
+    // OpenOn: the runtime is the caller's, who may already have abandoned
+    // and destroyed it after a simulated crash.
+    quiesced_ = true;
+    return report_;
+  }
 
   rt_->Psync();
   // The heap is quiescent (worker joined, intake closed): audit everything,

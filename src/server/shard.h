@@ -442,10 +442,22 @@ class Shard {
   static std::unique_ptr<Shard> Open(const ShardOptions& opts, uint32_t index,
                                      CompletionSink* sink,
                                      std::string* error = nullptr);
+  // Opens shard `index` on a runtime the caller owns, with no worker thread:
+  // the caller executes batches itself through RunBatch. Binding, the txn
+  // state rebuild and the redo tail are Open's. The options that pick a
+  // device (device_bytes, image_base, dax_base, latencies) are ignored.
+  // Quiesce and the destructor never touch the runtime or its device, so a
+  // caller may abandon and destroy a crashed runtime before it drops the
+  // shard. For the crash checker and tests.
+  static std::unique_ptr<Shard> OpenOn(core::JnvmRuntime* rt,
+                                       const ShardOptions& opts, uint32_t index,
+                                       CompletionSink* sink,
+                                       std::string* error = nullptr);
   ~Shard();
 
   uint32_t index() const { return index_; }
-  // True when Open() loaded an existing image (→ recovery ran).
+  // True when Open() loaded an existing image (→ recovery ran). OpenOn
+  // leaves it false: the caller ran the runtime's recovery.
   bool recovered() const { return recovered_; }
   const core::RecoveryReport& recovery_report() const {
     return rt_->recovery_report();
@@ -536,6 +548,15 @@ class Shard {
   // while its worker is idle (in-process benchmarks and tests).
   KvMap& kv() { return *kv_; }
 
+  // Executes one batch: requests of one batch class, as the worker picks
+  // them (a control or txn-boundary op alone, a run of kApply records up to
+  // the apply cap, anything else up to `batch`). The group commit, the
+  // batch's log record, its Psync, the deferred frees, the post-seal txn
+  // applies, streaming and delivery all happen here, in that order. The
+  // worker thread's only batch path; a shard opened with OpenOn is driven
+  // by its caller instead. `batch` must be non-empty.
+  void RunBatch(std::vector<Request>& batch);
+
   // Stops intake, drains the queue, joins the worker, Psyncs, audits heap
   // integrity (I1–I7 with FA-log audit — the heap is quiescent), closes the
   // runtime and saves the device image. Terminal: the shard accepts no
@@ -545,6 +566,13 @@ class Shard {
  private:
   Shard() = default;
 
+  // Open and OpenOn: option checks and class registration, then (once the
+  // runtime exists) the root bindings, the txn state rebuild and the redo
+  // tail. Bind returns false, saying why in *error, for a heap whose store
+  // this server cannot read.
+  static std::unique_ptr<Shard> Create(const ShardOptions& opts,
+                                       uint32_t index, CompletionSink* sink);
+  bool Bind(std::string* error);
   void WorkerLoop();
   // Executes one request against the KvMap; appends the RESP reply and
   // collects the batch's replicated ops. Returns true when the op wrote
@@ -651,8 +679,12 @@ class Shard {
   CompletionSink* sink_ = nullptr;
   bool recovered_ = false;
 
-  std::unique_ptr<nvm::PmemDevice> dev_;
-  std::unique_ptr<core::JnvmRuntime> rt_;
+  // Open owns its device and runtime; OpenOn borrows the caller's runtime
+  // and leaves both owners empty.
+  std::unique_ptr<nvm::PmemDevice> owned_dev_;
+  std::unique_ptr<core::JnvmRuntime> owned_rt_;
+  nvm::PmemDevice* dev_ = nullptr;
+  core::JnvmRuntime* rt_ = nullptr;
   core::Handle<KvMap> kv_;
   std::unique_ptr<repl::ReplLog> log_;  // worker-thread only after Open()
   core::Handle<ckpt::CkptMeta> ckpt_meta_;  // worker-thread only after Open()
@@ -743,6 +775,10 @@ class Shard {
   std::deque<Request> queue_;
   bool stopping_ = false;
 
+  // RunBatch's per-batch scratch, reused across batches (worker thread).
+  std::vector<std::string> replies_;
+  std::vector<uint8_t> wrote_flags_;
+  std::vector<repl::ReplOp> rops_;
   std::thread worker_;
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> max_batch_{0};

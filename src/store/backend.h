@@ -108,25 +108,6 @@ class Backend {
     return false;
   }
 
-  // SnapshotRecords restricted to the keys `want` accepts. Backends with a
-  // volatile key index override it to materialize only those records.
-  virtual bool SnapshotRecordsIf(
-      const std::function<bool(const std::string&)>& want,
-      const std::function<void(const std::string&, const Record&)>& fn) {
-    return SnapshotRecords([&](const std::string& key, const Record& r) {
-      if (want(key)) {
-        fn(key, r);
-      }
-    });
-  }
-
-  // Every live key, for callers that need no record (slot counts, purge and
-  // drop lists). Same contract and return value as SnapshotRecords.
-  virtual bool ForEachKey(const std::function<void(const std::string&)>& fn) {
-    return SnapshotRecords(
-        [&](const std::string& key, const Record&) { fn(key); });
-  }
-
   OpStats stats() const {
     OpStats s;
     s.puts = puts_.load(std::memory_order_relaxed);

@@ -65,21 +65,6 @@ bool JpdtBackend::SnapshotRecords(
   return true;
 }
 
-bool JpdtBackend::SnapshotRecordsIf(
-    const std::function<bool(const std::string&)>& want,
-    const std::function<void(const std::string&, const Record&)>& fn) {
-  map_->ForEachWhere(want, [&](const std::string& key,
-                               core::Handle<core::PObject> v) {
-    fn(key, std::static_pointer_cast<PRecord>(v)->ToRecord());
-  });
-  return true;
-}
-
-bool JpdtBackend::ForEachKey(const std::function<void(const std::string&)>& fn) {
-  map_->ForEachKey(fn);
-  return true;
-}
-
 bool JpdtBackend::DoTouch(const std::string& key) {
   const auto rec = map_->GetAs<PRecord>(key);
   if (rec == nullptr) {

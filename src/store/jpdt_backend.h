@@ -21,12 +21,6 @@ class JpdtBackend final : public Backend {
   size_t Size() override;
   bool SnapshotRecords(
       const std::function<void(const std::string&, const Record&)>& fn) override;
-  // Both walk the map's volatile mirror and read NVMM only for the records
-  // they hand out.
-  bool SnapshotRecordsIf(
-      const std::function<bool(const std::string&)>& want,
-      const std::function<void(const std::string&, const Record&)>& fn) override;
-  bool ForEachKey(const std::function<void(const std::string&)>& fn) override;
 
   pdt::PStringHashMap& map() { return *map_; }
 

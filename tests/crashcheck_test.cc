@@ -59,6 +59,20 @@ TEST(CrashCheckDeterminism, RecordingsAreReproducible) {
   EXPECT_EQ(ra.trace_hash, rb.trace_hash);
 }
 
+// The workloads that drive the shipped server::Shard: two checkers record
+// the same persistence-event trace, byte for byte.
+TEST(CrashCheckDeterminism, ShippedShardRecordingsAreReproducible) {
+  for (const char* kind :
+       {"server", "repl", "ckpt", "repl-apply", "wait", "read-your-writes"}) {
+    crashcheck::CrashChecker a(crashcheck::MakeWorkload(kind, kScriptSeed, kOps),
+                               BoundedOptions());
+    crashcheck::CrashChecker b(crashcheck::MakeWorkload(kind, kScriptSeed, kOps),
+                               BoundedOptions());
+    EXPECT_EQ(a.recording().op_end, b.recording().op_end) << kind;
+    EXPECT_EQ(a.recording().trace_hash, b.recording().trace_hash) << kind;
+  }
+}
+
 // Runs the workload on a fresh strict device, crashes at `crash_event`,
 // applies Crash(eviction_seed), and returns the post-crash device.
 std::unique_ptr<nvm::PmemDevice> ReplayAndCrash(const std::string& kind,

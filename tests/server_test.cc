@@ -382,6 +382,153 @@ TEST(Shard, Batch1KeepsWriteThroughSemantics) {
   EXPECT_FALSE(shard->Submit(Request{}));  // terminal after quiesce
 }
 
+// Twelve SETs; then GET, replace, DEL, HSET in place and overflowing, a
+// miss and a DEL of an absent key; then a control op alone.
+std::vector<std::vector<Request>> MixedBatches() {
+  const auto req = [](Request::Op op, std::string key, std::string value,
+                      uint64_t seq) {
+    Request r;
+    r.op = op;
+    r.key = std::move(key);
+    r.value = std::move(value);
+    r.conn_id = 1;
+    r.seq = seq;
+    return r;
+  };
+  std::vector<std::vector<Request>> batches(3);
+  uint64_t seq = 0;
+  for (int i = 0; i < 12; ++i) {
+    batches[0].push_back(req(Request::Op::kSet, "k" + std::to_string(i),
+                             "v" + std::to_string(i), ++seq));
+  }
+  batches[1].push_back(req(Request::Op::kGet, "k0", "", ++seq));
+  batches[1].push_back(req(Request::Op::kSet, "k1", std::string(700, 'r'), ++seq));
+  batches[1].push_back(req(Request::Op::kDel, "k2", "", ++seq));
+  batches[1].push_back(req(Request::Op::kHset, "k3", "h", ++seq));
+  batches[1].push_back(req(Request::Op::kHset, "k4", std::string(300, 'o'), ++seq));
+  batches[1].push_back(req(Request::Op::kGet, "nope", "", ++seq));
+  batches[1].push_back(req(Request::Op::kDel, "nope", "", ++seq));
+  batches[2].push_back(req(Request::Op::kLastSeq, "", "", ++seq));
+  return batches;
+}
+
+TEST(Shard, RunBatchOnABorrowedRuntimeDoesTheWorkersWork) {
+  const ShardOptions opts = SmallShard(/*batch=*/16);
+  CollectSink threaded_sink;
+  auto threaded = Shard::Open(opts, 0, &threaded_sink);
+  nvm::DeviceOptions dopts;
+  dopts.size_bytes = opts.device_bytes;
+  nvm::PmemDevice dev(dopts);
+  auto rt = core::JnvmRuntime::Format(&dev);
+  CollectSink borrowed_sink;
+  auto borrowed = Shard::OpenOn(rt.get(), opts, 0, &borrowed_sink);
+  ASSERT_NE(borrowed, nullptr);
+
+  const auto delta = [](const nvm::DeviceStats& a, const nvm::DeviceStats& b) {
+    return std::vector<uint64_t>{b.writes - a.writes, b.pwbs - a.pwbs,
+                                 b.pfences - a.pfences, b.psyncs - a.psyncs};
+  };
+  size_t replies = 0;
+  uint64_t writes = 0;
+  for (std::vector<Request>& batch : MixedBatches()) {
+    std::vector<Request> copy = batch;
+    replies += batch.size();
+    // The worker takes a whole run pushed under one lock as one batch.
+    const nvm::DeviceStats t0 = threaded->Stats().device;
+    ASSERT_EQ(threaded->TrySubmitMany(&copy), Shard::SubmitResult::kOk);
+    while (threaded_sink.count() < replies) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const nvm::DeviceStats t1 = threaded->Stats().device;
+    const nvm::DeviceStats b0 = dev.stats();
+    borrowed->RunBatch(batch);
+    EXPECT_EQ(delta(t0, t1), delta(b0, dev.stats()))
+        << "writes, pwbs, pfences, psyncs of a " << batch.size() << "-request batch";
+    writes += t1.writes - t0.writes;
+  }
+  EXPECT_GT(writes, 0u);
+  std::vector<Completion> want = threaded_sink.take();
+  std::vector<Completion> got = borrowed_sink.take();
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].seq, got[i].seq);
+    EXPECT_EQ(want[i].reply, got[i].reply) << "request " << want[i].seq;
+  }
+  EXPECT_EQ(threaded->Stats().batches, borrowed->Stats().batches);
+  EXPECT_TRUE(threaded->Quiesce().integrity_ok);
+}
+
+TEST(Shard, BorrowedShardServesDeliveredKeysAfterACrash) {
+  nvm::DeviceOptions dopts;
+  dopts.size_bytes = 8 << 20;
+  dopts.strict = true;
+  core::RuntimeOptions ropts;
+  ropts.heap.log_slot_count = 4;
+  const auto sets = [](const std::string& prefix, uint64_t first_seq) {
+    std::vector<Request> batch;
+    for (int i = 0; i < 12; ++i) {
+      Request r;
+      r.op = Request::Op::kSet;
+      r.key = prefix + std::to_string(i);
+      r.value = "v" + r.key + std::string(i % 3 == 0 ? 300 : 0, 'x');
+      r.conn_id = 1;
+      r.seq = first_seq + static_cast<uint64_t>(i);
+      batch.push_back(std::move(r));
+    }
+    return batch;
+  };
+  // Crash early, late and never in the second batch, under two evictions.
+  int fired = 0;
+  for (const uint64_t crash_after : {1, 9, 60, 400, 1 << 20}) {
+    for (const uint64_t seed : {1, 7}) {
+      nvm::PmemDevice dev(dopts);
+      auto rt = core::JnvmRuntime::Format(&dev, ropts);
+      CollectSink sink;
+      auto crashed = Shard::OpenOn(rt.get(), SmallShard(/*batch=*/16), 0, &sink);
+      rt->Psync();
+      std::vector<Request> first = sets("a", 1);
+      std::vector<Request> second = sets("b", 13);
+      crashed->RunBatch(first);
+      dev.ScheduleCrashAfter(crash_after);
+      try {
+        crashed->RunBatch(second);
+        dev.CancelScheduledCrash();
+      } catch (const nvm::SimulatedCrash&) {
+        ++fired;
+      }
+      // The checker's order: the crashed runtime goes first, the shard that
+      // borrowed it after; its teardown must touch neither.
+      rt->Abandon();
+      rt.reset();
+      crashed.reset();
+      dev.Crash(seed);
+      auto recovered_rt = core::JnvmRuntime::Open(&dev, ropts);
+      CollectSink after;
+      auto shard = Shard::OpenOn(recovered_rt.get(), SmallShard(/*batch=*/16), 0,
+                                 &after);
+      ASSERT_NE(shard, nullptr);
+      const std::vector<Completion> delivered = sink.take();
+      EXPECT_GE(delivered.size(), first.size());
+      for (const Completion& c : delivered) {
+        const Request& w = c.seq <= first.size() ? first[c.seq - 1]
+                                                 : second[c.seq - 1 - first.size()];
+        std::vector<Request> get(1);
+        get[0].op = Request::Op::kGet;
+        get[0].key = w.key;
+        get[0].conn_id = 1;
+        shard->RunBatch(get);
+        std::string want;
+        AppendBulk(&want, w.value);
+        const std::vector<Completion> r = after.take();
+        ASSERT_EQ(r.size(), 1u);
+        EXPECT_EQ(r[0].reply, want) << w.key << " crash_after=" << crash_after
+                                    << " seed=" << seed;
+      }
+    }
+  }
+  EXPECT_GT(fired, 0);
+}
+
 // ---- Chunked output queue ---------------------------------------------------
 
 TEST(ConnOutQueue, SmallAppendsCoalesceIntoTailChunk) {
@@ -1384,6 +1531,14 @@ TEST_P(HardeningE2E, OutputPathCountersVisibleInStats) {
   }
   for (int i = 0; i < 64; ++i) {
     ASSERT_TRUE(c->Set("s" + std::to_string(i), "v"));
+  }
+  // The subscriber's loop counts a frame ref when it drains its stream
+  // completions, which may come after the STATS reply: poll for it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (StatsField(*c, "frame_refs=") == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_GT(StatsField(*c, "frame_refs="), 0u);
   EXPECT_GT(StatsField(*c, "stream_frames="), 0u);
