@@ -1,6 +1,7 @@
 #include "src/core/object_view.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace jnvm::core {
 
@@ -14,6 +15,15 @@ ObjectView::ObjectView(Heap* heap, Offset master)
     heap->CollectBlocks(master, &blocks_);
     capacity_ = blocks_.size() * ppb_;
   }
+}
+
+ObjectView::ObjectView(Heap* heap, std::vector<Offset> chain)
+    : heap_(heap), master_(chain.front()), ppb_(heap->payload_per_block()) {
+  JNVM_DCHECK(heap->IsBlockAligned(master_));
+  if (chain.size() > 1) {
+    blocks_ = std::move(chain);
+  }
+  capacity_ = block_count() * ppb_;
 }
 
 ObjectView::ObjectView(Heap* heap, Offset slot, size_t slot_bytes)
@@ -52,6 +62,19 @@ void ObjectView::PwbRange(size_t off, size_t n) {
     const size_t within = pool_ ? off : off % ppb_;
     const size_t chunk = std::min(n, ppb_ - within);
     heap_->dev().PwbRange(Locate(off), chunk);
+    off += chunk;
+    n -= chunk;
+  }
+}
+
+void ObjectView::Zero(size_t off, size_t n) {
+  JNVM_DCHECK(off + n <= capacity_);
+  while (n > 0) {
+    const size_t within = pool_ ? off : off % ppb_;
+    const size_t chunk = std::min(n, ppb_ - within);
+    const Offset loc = Locate(off);
+    heap_->dev().Memset(loc, 0, chunk);
+    heap_->dev().PwbRange(loc, chunk);
     off += chunk;
     n -= chunk;
   }

@@ -26,6 +26,9 @@ class ObjectView {
   ObjectView() = default;
   // Chained object: walks the block chain of `master`.
   ObjectView(Heap* heap, Offset master);
+  // Chained object whose blocks the caller already holds, master first (as
+  // Heap::AllocObject hands them out): reads no header.
+  ObjectView(Heap* heap, std::vector<Offset> chain);
   // Pool slot: `slot` points inside a pool block; `slot_bytes` is its size.
   ObjectView(Heap* heap, Offset slot, size_t slot_bytes);
 
@@ -76,6 +79,9 @@ class ObjectView {
 
   // Queues the cache lines of [off, off+n) for write-back.
   void PwbRange(size_t off, size_t n);
+  // Zeroes [off, off+n) and queues it for write-back: one device memset and
+  // one write-back range per block, as Heap::AllocObject voids a payload.
+  void Zero(size_t off, size_t n);
   // Queues every payload line of the object.
   void PwbAll();
 

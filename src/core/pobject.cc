@@ -1,5 +1,8 @@
 #include "src/core/pobject.h"
 
+#include <utility>
+#include <vector>
+
 #include "src/core/pool.h"
 #include "src/core/runtime.h"
 
@@ -14,9 +17,10 @@ void PObject::AllocatePersistent(JnvmRuntime& rt, const ClassInfo* cls,
   heap_ = &rt.heap();
   cls_ = cls;
   const uint16_t id = rt.ClassIdFor(cls);
-  const nvm::Offset master = heap_->AllocObject(id, payload_bytes, zero);
+  std::vector<nvm::Offset> chain;
+  const nvm::Offset master = heap_->AllocObject(id, payload_bytes, zero, &chain);
   JNVM_CHECK_MSG(master != 0, "persistent heap full");
-  view_ = ObjectView(heap_, master);
+  view_ = ObjectView(heap_, std::move(chain));
   attached_ = true;
   if (pfa::FaContext* fa = ActiveFa(); fa != nullptr && fa->InFa()) {
     fa->NoteAlloc(master);  // validated at commit (§4.2)

@@ -1323,18 +1323,20 @@ class ServerWorkload final : public ShardWorkload {
 // the replies. The recovered log seals c or c+1 records, each byte-equal to
 // the script's frame; after the shard's redo tail the store equals the
 // first `sealed` batches, the in-flight batch old-or-new when its record did
-// not seal. "ckpt" puts a checkpoint in every fourth op, as the two kCkpt
+// not seal. "ckpt" puts a checkpoint in every eighth op, as the two kCkpt
 // singleton batches of CkptRunner: the fuzzy walk over every slot, then the
 // finalize (Psync → CkptMeta publish → Pfence → TruncateBelow). Its meta is
 // exact outside a checkpoint op and old-or-new per field inside one, and
 // recovery replays from the published begin, which never passes the log.
+// Its ring has two slots, so the seven writes between checkpoints fill it
+// and roll it over (recycling a segment) before a checkpoint truncates it.
 class PrimaryWorkload final : public ShardWorkload {
  public:
   static constexpr ScriptShape kShape{5, 10, true, true};
-  static constexpr size_t kCkptEvery = 4;
+  static constexpr size_t kCkptEvery = 8;
 
   PrimaryWorkload(std::string name, uint64_t seed, size_t n, bool ckpt)
-      : ShardWorkload(std::move(name), TinyShard(true, false, ckpt ? 6 : 3)),
+      : ShardWorkload(std::move(name), TinyShard(true, false, ckpt ? 2 : 3)),
         ckpt_(ckpt),
         n_(n) {
     for (size_t i = 0; i < n; ++i) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "src/common/clock.h"
 
@@ -160,7 +161,8 @@ void Heap::FreeBlockRaw(Offset block) {
   free_queue_.Push(block);
 }
 
-Offset Heap::AllocObject(uint16_t class_id, size_t payload_bytes, bool zero) {
+Offset Heap::AllocObject(uint16_t class_id, size_t payload_bytes, bool zero,
+                         std::vector<Offset>* chain) {
   JNVM_CHECK(class_id != 0 && class_id <= kMaxClassId);
   const size_t ppb = payload_per_block();
   const size_t nblocks = payload_bytes == 0 ? 1 : (payload_bytes + ppb - 1) / ppb;
@@ -195,7 +197,11 @@ Offset Heap::AllocObject(uint16_t class_id, size_t payload_bytes, bool zero) {
     }
   }
   stat_objects_allocated_.fetch_add(1, std::memory_order_relaxed);
-  return blocks[0];
+  const Offset master = blocks[0];
+  if (chain != nullptr) {
+    *chain = std::move(blocks);
+  }
+  return master;
 }
 
 void Heap::CollectBlocks(Offset master, std::vector<Offset>* out) const {

@@ -119,8 +119,11 @@ class Heap {
   // the payload is voided and queued for write-back so that a later fence
   // makes the zeroes durable before the object can become live; classes
   // without reference fields that fully initialize their payload may skip
-  // the voiding (`zero = false`). No fence here. Returns 0 when full.
-  Offset AllocObject(uint16_t class_id, size_t payload_bytes, bool zero = true);
+  // the voiding (`zero = false`). No fence here. Returns 0 when full. When
+  // `chain` is given it receives the blocks, master first — what
+  // CollectBlocks would read back from the headers just written.
+  Offset AllocObject(uint16_t class_id, size_t payload_bytes, bool zero = true,
+                     std::vector<Offset>* chain = nullptr);
 
   // Appends the chain blocks of `master` (master first) to `out`.
   void CollectBlocks(Offset master, std::vector<Offset>* out) const;

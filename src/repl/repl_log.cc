@@ -89,6 +89,11 @@ ReplLogSegment::ReplLogSegment(core::JnvmRuntime& rt, uint64_t base_seq,
   PwbField(0, kDataOff);
 }
 
+void ReplLogSegment::WriteBaseSeq(uint64_t seq) {
+  WriteField<uint64_t>(kBaseSeqOff, seq);
+  PwbField(kBaseSeqOff, 8);
+}
+
 // ---- ReplLog ---------------------------------------------------------------
 
 std::unique_ptr<ReplLog> ReplLog::OpenOrCreate(core::JnvmRuntime* rt,
@@ -160,8 +165,9 @@ void ReplLog::Reconcile() {
   JNVM_CHECK(head < seg_cap_ && count <= seg_cap_);
 
   // 1. Free segments published in a slot whose count bump never became
-  // durable (they carry no sealed records by construction), and slots whose
-  // truncation zeroing was lost after the head already advanced.
+  // durable (they carry no sealed records by construction), slots whose
+  // truncation zeroing was lost after the head already advanced, and a head
+  // caught mid-recycle (popped from the range, full count not yet durable).
   std::vector<nvm::Offset> frees;
   bool wrote = false;
   for (uint32_t i = 0; i < seg_cap_; ++i) {
@@ -234,7 +240,9 @@ void ReplLog::ScanSegments() {
     auto obj = rt_->ResurrectRefAs<ReplLogSegment>(ref);
     const uint64_t base = obj->BaseSeq();
     if (have_any && base != expected) {
-      stop = true;  // discontinuity: drop this segment and the rest
+      // Discontinuity (e.g. a recycled tail whose new base was lost): drop
+      // this segment and the rest.
+      stop = true;
       break;
     }
 
@@ -243,6 +251,7 @@ void ReplLog::ScanSegments() {
     seg.slot = slot;
     seg.base_seq = base;
     const uint32_t cap = obj->DataCapacity();
+    seg.capacity = cap;
     uint32_t off = 0;
     bool torn = false;
     uint64_t want = base;
@@ -279,13 +288,7 @@ void ReplLog::ScanSegments() {
     if (last_kept && off < cap) {
       // Zero the tail so bytes of a torn (unsealed) record can never
       // masquerade as a sealed record under a later scan. Fenced below.
-      static constexpr size_t kChunk = 4096;
-      char zeros[kChunk] = {0};
-      for (uint32_t z = off; z < cap; z += kChunk) {
-        const size_t n = std::min<size_t>(kChunk, cap - z);
-        obj->WriteData(z, zeros, n);
-      }
-      obj->PwbData(off, cap - off);
+      obj->ZeroData(off, cap - off);
       wrote = true;
     }
 
@@ -350,9 +353,43 @@ void ReplLog::AddSegment(uint64_t base_seq, uint32_t data_capacity) {
   seg.obj = obj;
   seg.slot = (head_ + static_cast<uint32_t>(segs_.size())) % seg_cap_;
   seg.base_seq = base_seq;
+  seg.capacity = data_capacity;
   root_->WriteSlot(seg.slot, obj->addr());
   segs_.push_back(std::move(seg));
   PersistPacked();  // sealed by the batch's Psync
+}
+
+// Ring-full rollover without the allocator: the evicted head becomes the
+// new tail in place. Its slot is the one the tail takes next, so the ring
+// slots never change; only the data area and base_seq are rewritten. Each
+// step leaves a crash state Reconcile and ScanSegments already interpret
+// (DESIGN.md §11).
+void ReplLog::RecycleHead(uint64_t base_seq) {
+  JNVM_CHECK(segs_.size() == seg_cap_);
+  Seg seg = std::move(segs_.front());
+  segs_.pop_front();
+  bytes_ -= seg.write_off;
+  head_ = (head_ + 1) % seg_cap_;
+  start_seq_ = segs_.front().base_seq;
+  // 1. The slot leaves the occupied range: until the full count below is
+  // durable, recovery frees the segment (rule 1). Fenced before any byte of
+  // it changes, so the ring never names a half-rewritten segment.
+  PersistPacked();
+  rt_->Pfence();
+  // 2. Void the old records, durable before the header names the new base:
+  // bytes past the new records then read as the terminator, never as a
+  // stale record that happens to carry the next seq and a valid check.
+  seg.obj->ZeroData(0, seg.capacity);
+  rt_->Pfence();
+  // 3. Rebase and count it back in as the tail. A crash that keeps the count
+  // but loses the base reads as a discontinuity, and the scan drops it. The
+  // batch's Psync seals both with the record.
+  seg.obj->WriteBaseSeq(base_seq);
+  seg.base_seq = base_seq;
+  seg.write_off = 0;
+  seg.offs.clear();
+  segs_.push_back(std::move(seg));
+  PersistPacked();
 }
 
 void ReplLog::TruncateHead() {
@@ -384,16 +421,19 @@ void ReplLog::Append(uint64_t seq, std::string_view payload) {
   JNVM_CHECK_MSG(seq == next_seq_, "replication log append out of sequence");
   const size_t need = kRecHdrBytes + payload.size();
   const uint32_t def = opts_.segment_bytes;
-  const uint32_t want_cap =
-      static_cast<uint32_t>(need > def ? need : def);  // oversized → dedicated
-  if (segs_.empty() ||
-      segs_.back().write_off + need > segs_.back().obj->DataCapacity()) {
-    if (segs_.size() == seg_cap_) {
-      TruncateHead();
-    }
-    AddSegment(seq, want_cap);
-    if (segs_.size() == 1) {
-      start_seq_ = seq;
+  if (segs_.empty() || segs_.back().write_off + need > segs_.back().capacity) {
+    const bool full = segs_.size() == seg_cap_;
+    if (full && need <= def && segs_.front().capacity == def) {
+      RecycleHead(seq);
+    } else {
+      if (full) {
+        TruncateHead();
+      }
+      // An oversized record gets a dedicated segment.
+      AddSegment(seq, static_cast<uint32_t>(need > def ? need : def));
+      if (segs_.size() == 1) {
+        start_seq_ = seq;
+      }
     }
   }
   Seg& tail = segs_.back();

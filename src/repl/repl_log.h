@@ -24,16 +24,25 @@
 //     u32 data_capacity
 //     u32 reserved
 //     then records: { u32 len | u32 crc | u64 seq | payload[len] } back to
-//     back; len == 0 terminates the scan (segments are zero-allocated, so
-//     virgin space reads as the terminator).
+//     back; len == 0 terminates the scan (segments are zeroed when
+//     allocated and when recycled, so virgin space reads as the terminator).
 //
 // Crash consistency
 //   - Publication: a new segment is written, flushed and validated under an
 //     ordering pfence *before* its ring slot and the packed count advance —
 //     recovery never sees a published-but-torn segment.
-//   - Truncation/reset: the ring slot is zeroed before the segment is freed
-//     (same unlink-before-free discipline as the J-PDT maps; the free is
-//     deferred past the batch Psync under group commit).
+//   - Rollover: when the ring is full, a record that fits a default-size
+//     segment recycles the evicted head in place as the new tail — same
+//     ring slot, same blocks, nothing freed or allocated. The packed word
+//     first drops the head from the occupied range (pfence), the data area
+//     is zeroed (pfence), then base_seq and the full count are written and
+//     sealed with the record by the batch Psync. A crash before the full
+//     count is durable leaves the slot outside the range, and recovery
+//     frees it; after, a stale base_seq reads as a discontinuity.
+//   - Truncation/reset: checkpoint truncation, reset, and a rollover that
+//     involves an oversized segment zero the ring slot before the segment
+//     is freed (same unlink-before-free discipline as the J-PDT maps; the
+//     free is deferred past the batch Psync under group commit).
 //   - Torn tail: at most the last record can be torn (earlier records were
 //     sealed by their batch's Psync). Recovery detects it by checksum, by
 //     sequence discontinuity, or by a zero length word, then zeroes the
@@ -120,6 +129,10 @@ class ReplLogSegment final : public core::PObject {
   void ReadData(size_t off, void* dst, size_t n) const { ReadBytesField(kDataOff + off, dst, n); }
   void WriteData(size_t off, const void* src, size_t n) { WriteBytesField(kDataOff + off, src, n); }
   void PwbData(size_t off, size_t n) { PwbField(kDataOff + off, n); }
+  // Zeroes data bytes [off, off+n) and queues them for write-back; no fence.
+  void ZeroData(size_t off, size_t n) { MutableView().Zero(kDataOff + off, n); }
+  // Rebases a recycled segment; write-back queued, no fence.
+  void WriteBaseSeq(uint64_t seq);
 };
 
 // Volatile manager over the persistent ring. Single-writer: the shard
@@ -147,8 +160,10 @@ class ReplLog {
   bool needs_snapshot() const { return needs_snapshot_; }
 
   // Appends one record; `seq` must equal next_seq(). Write-backs only — the
-  // caller's batch Psync seals it. May truncate the oldest segment when the
-  // ring is full (the segment free is deferred under group commit).
+  // caller's batch Psync seals it. When the ring is full the oldest segment
+  // goes: recycled as the new tail (two ordering pfences), or, when it or
+  // the record is oversized, truncated with its free deferred under group
+  // commit.
   void Append(uint64_t seq, std::string_view payload);
 
   // Copies the payload of record `seq`; false when truncated away or not
@@ -187,6 +202,7 @@ class ReplLog {
     core::Handle<ReplLogSegment> obj;
     uint32_t slot = 0;               // ring slot holding this segment's ref
     uint64_t base_seq = 0;
+    uint32_t capacity = 0;           // data bytes (the segment's DataCapacity)
     uint32_t write_off = 0;          // first free data byte
     std::vector<uint32_t> offs;      // record offsets; offs[seq - base_seq]
   };
@@ -197,6 +213,7 @@ class ReplLog {
   void Reconcile();   // frees out-of-range slots, shrinks over zero head slots
   void ScanSegments();
   void AddSegment(uint64_t base_seq, uint32_t data_capacity);
+  void RecycleHead(uint64_t base_seq);
   void TruncateHead();
   void PersistPacked();
 

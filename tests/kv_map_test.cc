@@ -187,6 +187,10 @@ class CollectSink : public CompletionSink {
     std::lock_guard<std::mutex> lk(mu_);
     got_.push_back(std::move(c));
   }
+  size_t count() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return got_.size();
+  }
   std::string WaitFor(size_t n) {
     for (;;) {
       {
@@ -254,6 +258,21 @@ TEST_F(ShardDeviceWork, GetReadsTheSlotCellAndEachBlockOnce) {
   EXPECT_EQ(shard_->Stats().device.reads - r0, 0u);
 }
 
+// A replacing SET reads the slot cell, the new entry's header when it sets
+// the valid bit, and the old entry's chain and header when it frees it; the
+// chain it just allocated is never read back.
+TEST_F(ShardDeviceWork, ReplaceSetReadsNoChainItJustAllocated) {
+  ASSERT_EQ(Run(Request::Op::kSet, "k100", std::string(100, 'a')), "+OK\r\n");
+  ASSERT_EQ(Run(Request::Op::kSet, "k1k", std::string(1024, 'a')), "+OK\r\n");
+
+  uint64_t r0 = shard_->Stats().device.reads;
+  ASSERT_EQ(Run(Request::Op::kSet, "k100", std::string(100, 'b')), "+OK\r\n");
+  EXPECT_EQ(shard_->Stats().device.reads - r0, 4u);
+  r0 = shard_->Stats().device.reads;
+  ASSERT_EQ(Run(Request::Op::kSet, "k1k", std::string(1024, 'b')), "+OK\r\n");
+  EXPECT_EQ(shard_->Stats().device.reads - r0, 8u);
+}
+
 TEST_F(ShardDeviceWork, InsertAllocatesOneObjectAndReplaceFreesOne) {
   heap::HeapStats h0 = shard_->Stats().heap;
   ASSERT_EQ(Run(Request::Op::kSet, "k", std::string(100, 'a')), "+OK\r\n");
@@ -283,6 +302,61 @@ TEST_F(ShardDeviceWork, TouchAndMigratingSetPresenceCheckReadNoNvmm) {
   EXPECT_EQ(d1.reads, d0.reads);
   EXPECT_EQ(d1.writes, d0.writes);
   EXPECT_EQ(shard_->Stats().ops.gets, 3u);  // TOUCH ×2 + the presence check
+}
+
+// Once the replication log's ring is full, each rollover recycles the
+// evicted segment in place: a replacing 1 KiB SET allocates its new entry
+// (one object, five blocks) and frees the old one, and the log allocates
+// and frees nothing.
+TEST(ShardLogWork, FullRingAllocatesNothingForTheLog) {
+  ShardOptions o;
+  o.map_capacity = 1 << 10;
+  o.repl_segment_bytes = 16 << 10;  // two 7-SET records per segment
+  o.repl_max_segments = 3;
+  nvm::DeviceOptions dopts;
+  dopts.size_bytes = 32ull << 20;
+  nvm::PmemDevice dev(dopts);
+  auto rt = core::JnvmRuntime::Format(&dev);
+  CollectSink sink;
+  auto shard = Shard::OpenOn(rt.get(), o, 0, &sink);
+  ASSERT_NE(shard, nullptr);
+
+  constexpr int kPerBatch = 7;
+  uint64_t seq = 0;
+  const auto batch = [&](char fill) {
+    std::vector<Request> b;
+    for (int i = 0; i < kPerBatch; ++i) {
+      Request r;
+      r.op = Request::Op::kSet;
+      r.key = "key" + std::to_string(i);
+      r.value = std::string(1024, fill);
+      r.conn_id = 1;
+      r.seq = ++seq;
+      b.push_back(std::move(r));
+    }
+    shard->RunBatch(b);
+  };
+  // Fill the ring, then roll it over once more.
+  for (int i = 0; i < 8; ++i) {
+    batch(static_cast<char>('a' + i % 26));
+  }
+  ASSERT_EQ(shard->Stats().repl.log_segments, 3u);
+
+  constexpr int kBatches = 30;  // 15 rollovers
+  const uint64_t start0 = shard->Stats().repl.start_seq;
+  const heap::HeapStats h0 = rt->heap().stats();
+  for (int i = 0; i < kBatches; ++i) {
+    batch(static_cast<char>('A' + i % 26));
+  }
+  const heap::HeapStats h1 = rt->heap().stats();
+  const ShardStats s = shard->Stats();
+  EXPECT_EQ(s.repl.log_segments, 3u);
+  EXPECT_EQ(s.repl.start_seq, start0 + kBatches);  // 15 segments of 2 rolled off
+  const uint64_t sets = kBatches * kPerBatch;
+  EXPECT_EQ(h1.objects_allocated - h0.objects_allocated, sets);
+  EXPECT_EQ(h1.blocks_allocated - h0.blocks_allocated, 5 * sets);
+  EXPECT_EQ(h1.blocks_freed - h0.blocks_freed, 5 * sets);
+  EXPECT_EQ(sink.count(), seq);
 }
 
 // ---- Layout guards --------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -249,6 +250,133 @@ TEST(ReplLog, TornTailNeverResurrectsUnsealedRecord) {
     log->Append(log->next_seq(), Payload(99));
     f.rt->Psync();
   }
+}
+
+// The ring's segments are recycled, never replaced: after 100 rollovers
+// the ring slots hold the addresses they held when the ring first filled,
+// and a reopen reads back every retained record.
+TEST(ReplLog, RolloverRecyclesTheRingsOwnSegments) {
+  LogFixture f;
+  auto log = ReplLog::OpenOrCreate(f.rt.get(), "repl0", TinyLog());
+  const auto ring = [&] {
+    const auto root = f.rt->root().GetAs<ReplLogRoot>("repl0");
+    std::set<nvm::Offset> slots;
+    for (uint32_t i = 0; i < root->SegCapacity(); ++i) {
+      slots.insert(root->Slot(i));
+    }
+    return slots;
+  };
+  uint64_t seq = 1;
+  const auto append = [&] {
+    log->Append(seq, Payload(seq));
+    f.rt->Psync();
+    f.rt->DrainGroupFrees();
+    ++seq;
+  };
+  while (log->segments() < 3) {
+    append();
+  }
+  const std::set<nvm::Offset> first = ring();
+  ASSERT_EQ(first.size(), 3u);
+  ASSERT_EQ(first.count(0), 0u);
+  const heap::HeapStats h0 = f.rt->heap().stats();
+  int rollovers = 0;
+  while (rollovers < 100) {
+    const uint64_t start = log->start_seq();
+    append();
+    rollovers += log->start_seq() != start ? 1 : 0;
+  }
+  EXPECT_EQ(ring(), first);
+  EXPECT_EQ(log->segments(), 3u);
+  const heap::HeapStats h1 = f.rt->heap().stats();
+  EXPECT_EQ(h1.objects_allocated, h0.objects_allocated);
+  EXPECT_EQ(h1.blocks_freed, h0.blocks_freed);
+
+  const uint64_t start = log->start_seq();
+  ASSERT_EQ(log->next_seq(), seq);
+  log.reset();
+  f.Reopen();
+  log = ReplLog::OpenOrCreate(f.rt.get(), "repl0", TinyLog());
+  EXPECT_EQ(log->start_seq(), start);
+  EXPECT_EQ(log->next_seq(), seq);
+  std::string got;
+  for (uint64_t s = start; s < seq; ++s) {
+    ASSERT_TRUE(log->Read(s, &got)) << s;
+    EXPECT_EQ(got, Payload(s));
+  }
+}
+
+// A recycled segment's old bytes never pass for a record. Record 1 of the
+// first segment carries, inside its payload, a well-formed record 11 (its
+// length, a check computed as the log computes it, seq 11, payload) at the
+// data offset where the recycled segment's second record will start: the
+// first cache line after record 10. Records 1..9 fill the 3-slot ring and
+// are sealed; record 10 recycles the first segment and is never sealed.
+// Under every eviction, recovery keeps 10 or 11 records, each as appended.
+// The zeroing of the data area, durable before the new base_seq can be, is
+// what keeps record 11 out: drop it or its fence and some eviction reads
+// the forged record back.
+TEST(ReplLog, RecycledSegmentNeverYieldsAForgedRecord) {
+  // Block 0 of a segment: 8 B header, then base_seq and data capacity, so
+  // data offset d sits at block offset 24 + d; record 10 (16 + 24 B) fills
+  // the rest of the first line and record 11 starts the second.
+  constexpr size_t kLine = 64;
+  constexpr size_t kForgedAt = kLine - 24;
+  const std::string forged_payload(24, 'F');
+  std::string forged(16, '\0');
+  const uint32_t forged_len = static_cast<uint32_t>(forged_payload.size());
+  const uint64_t forged_seq = 11;
+  char seq_bytes[8];
+  std::memcpy(seq_bytes, &forged_seq, 8);
+  const uint32_t forged_crc =
+      Crc32(forged_payload, Crc32(std::string_view(seq_bytes, 8)));
+  std::memcpy(forged.data(), &forged_len, 4);
+  std::memcpy(forged.data() + 4, &forged_crc, 4);
+  std::memcpy(forged.data() + 8, &forged_seq, 8);
+  forged += forged_payload;
+  // 64 B payloads: three 80 B records per 256 B segment.
+  const auto payload = [&](uint64_t seq) {
+    if (seq == 10) {
+      return std::string(24, 'n');
+    }
+    std::string p(64, static_cast<char>('a' + seq));
+    if (seq == 1) {
+      p.replace(kForgedAt - 16, forged.size(), forged);
+    }
+    return p;
+  };
+
+  int kept_record_10 = 0;
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    LogFixture f(/*strict=*/true);
+    {
+      auto log = ReplLog::OpenOrCreate(f.rt.get(), "repl0", TinyLog());
+      for (uint64_t s = 1; s <= 9; ++s) {
+        log->Append(s, payload(s));
+        f.rt->Psync();
+        f.rt->DrainGroupFrees();
+      }
+      ASSERT_EQ(log->segments(), 3u);
+      log->Append(10, payload(10));  // recycles segment 1; unsealed
+      ASSERT_EQ(log->start_seq(), 4u);
+      f.rt->Abandon();
+    }
+    f.rt.reset();
+    f.dev->Crash(seed * 0x9e3779b97f4a7c15ull);
+    f.rt = core::JnvmRuntime::Open(f.dev.get());
+    auto log = ReplLog::OpenOrCreate(f.rt.get(), "repl0", TinyLog());
+    ASSERT_GE(log->next_seq(), 10u) << "seed " << seed;
+    ASSERT_LE(log->next_seq(), 11u) << "seed " << seed;
+    kept_record_10 += log->next_seq() == 11 ? 1 : 0;
+    std::string got;
+    for (uint64_t s = log->start_seq(); s < log->next_seq(); ++s) {
+      ASSERT_TRUE(log->Read(s, &got)) << "seed " << seed << " seq " << s;
+      EXPECT_EQ(got, payload(s)) << "seed " << seed << " seq " << s;
+    }
+  }
+  // Some evictions kept record 10 in the recycled segment, which is where
+  // the forged record would have been read next.
+  EXPECT_GT(kept_record_10, 0);
 }
 
 TEST(ReplLog, TruncateBelowReclaimsPrefixAndPreservesWatermark) {
