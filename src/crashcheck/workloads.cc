@@ -1276,13 +1276,15 @@ class ShardWorkload : public Workload {
 };
 
 // A shard with a four-cell slot array, so scripts sweep its growth, and
-// 256-byte log segments, so they sweep rollover, truncation and oversized
-// records.
+// 384-byte log segments, so they sweep rollover, truncation and oversized
+// records: most batch records fit a segment, so a full ring recycles its
+// head in place, while the padded SETs and the grown HSETs still outgrow
+// one and take a dedicated segment.
 server::ShardOptions TinyShard(bool repl_log, bool follower, uint32_t max_segments) {
   server::ShardOptions o;
   o.map_capacity = 4;
   o.repl_log = repl_log;
-  o.repl_segment_bytes = 256;
+  o.repl_segment_bytes = 384;
   o.repl_max_segments = max_segments;
   o.follower = follower;
   return o;

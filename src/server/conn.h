@@ -125,7 +125,7 @@ struct Conn {
   // half-valid batch.
   bool in_multi = false;
   bool txn_dirty = false;
-  std::vector<std::vector<std::string>> txn_cmds;
+  std::vector<txn::TxnOp> txn_ops;
 
   // Backpressure: parsed requests waiting for shard-queue space. While
   // non-empty the connection is read-paused (`paused`): the poller stops

@@ -551,7 +551,6 @@ bool Shard::Execute(const Request& req, std::string* reply,
     case Request::Op::kApply:
       return ExecuteApply(req);
     case Request::Op::kTxnExec:
-      return ExecuteTxnExec(req, rops);
     case Request::Op::kTxnPrepare:
       return ExecuteTxnPrepare(req, rops);
     case Request::Op::kTxnDecide:
@@ -769,52 +768,12 @@ void Shard::RunTxnOps(txn::TxnPart& part,
   }
 }
 
-// Single-shard fast path: one record carries both the prepare image and the
-// commit marker, so the txn costs the same one sealed record and one Psync
-// as a plain batch — and a run of kTxnExec requests shares both.
-bool Shard::ExecuteTxnExec(const Request& req, std::vector<repl::ReplOp>* rops) {
-  const std::shared_ptr<txn::TxnState>& t = req.txn;
-  txn::TxnPart& part = t->parts[req.txn_part];
-  if (follower()) {
-    t->Fail(kReadonlyMsg);
-    return false;
-  }
-  if (log_ == nullptr) {
-    t->Fail("replication log disabled - transactions unavailable");
-    return false;
-  }
-  std::vector<repl::ReplOp> writes;
-  RunTxnOps(part, t, &writes);
-  if (writes.empty()) {
-    part.has_writes = false;
-    return false;  // read-only txn: nothing to seal or apply
-  }
-  part.has_writes = true;
-  repl::EncodeBatch(writes, &part.writes_frame);
-  part.prepare_seq = log_->next_seq();
-  txn::StagedTxn st;
-  st.coordinator = t->coordinator;
-  st.prepare_seq = part.prepare_seq;
-  st.writes = std::move(writes);
-  staged_txns_.Stage(t->id, std::move(st));
-  txns_prepared_.fetch_add(1, std::memory_order_relaxed);
-  repl::ReplOp prep;
-  prep.kind = repl::ReplOp::Kind::kTxnPrepare;
-  prep.key = txn::TxnIdKey(t->id);
-  prep.field = t->coordinator;
-  prep.value = part.writes_frame;
-  rops->push_back(std::move(prep));
-  repl::ReplOp marker;
-  marker.kind = repl::ReplOp::Kind::kTxnCommit;
-  marker.key = txn::TxnIdKey(t->id);
-  rops->push_back(std::move(marker));
-  post_seal_txns_.push_back(t->id);
-  return true;
-}
-
-// Cross-shard phase 1: run this part's ops, stage its writes, seal a
-// kTxnPrepare record carrying them. Read-only participants join the phase
-// without a record — they never enter the decision's membership.
+// Phase 1: run this part's ops, stage its writes and seal a kTxnPrepare
+// record carrying them. A single-shard txn (kTxnExec) appends its commit
+// marker to the same record, so it costs the one sealed record and one Psync
+// of a plain batch — and a run of kTxnExec requests shares both. Read-only
+// participants join the phase without a record: they never enter the
+// decision's membership.
 bool Shard::ExecuteTxnPrepare(const Request& req,
                               std::vector<repl::ReplOp>* rops) {
   const std::shared_ptr<txn::TxnState>& t = req.txn;
@@ -829,26 +788,38 @@ bool Shard::ExecuteTxnPrepare(const Request& req,
   }
   std::vector<repl::ReplOp> writes;
   RunTxnOps(part, t, &writes);
-  if (writes.empty()) {
-    part.has_writes = false;
-    return false;
+  part.has_writes = !writes.empty();
+  if (!part.has_writes) {
+    return false;  // read-only part: nothing to seal or apply
   }
-  part.has_writes = true;
   repl::EncodeBatch(writes, &part.writes_frame);
   part.prepare_seq = log_->next_seq();
+  StageTxn(t->id, t->coordinator, std::move(writes), part.writes_frame, rops);
+  if (req.op == Request::Op::kTxnExec) {
+    repl::ReplOp marker;
+    marker.kind = repl::ReplOp::Kind::kTxnCommit;
+    marker.key = txn::TxnIdKey(t->id);
+    rops->push_back(std::move(marker));
+    post_seal_txns_.push_back(t->id);
+  }
+  return true;
+}
+
+void Shard::StageTxn(txn::TxnId id, uint32_t coordinator,
+                     std::vector<repl::ReplOp> writes, const std::string& frame,
+                     std::vector<repl::ReplOp>* rops) {
   txn::StagedTxn st;
-  st.coordinator = t->coordinator;
-  st.prepare_seq = part.prepare_seq;
+  st.coordinator = coordinator;
+  st.prepare_seq = log_->next_seq();
   st.writes = std::move(writes);
-  staged_txns_.Stage(t->id, std::move(st));
+  staged_txns_.Stage(id, std::move(st));
   txns_prepared_.fetch_add(1, std::memory_order_relaxed);
   repl::ReplOp prep;
   prep.kind = repl::ReplOp::Kind::kTxnPrepare;
-  prep.key = txn::TxnIdKey(t->id);
-  prep.field = t->coordinator;
-  prep.value = part.writes_frame;
+  prep.key = txn::TxnIdKey(id);
+  prep.field = coordinator;
+  prep.value = frame;
   rops->push_back(std::move(prep));
-  return true;
 }
 
 // Cross-shard phase 2, coordinator only: seal the decision record — THE
@@ -923,18 +894,7 @@ bool Shard::ExecuteTxnRepair(const Request& req,
     if (!repl::DecodeBatch(req.value, &writes)) {
       return false;
     }
-    txn::StagedTxn st;
-    st.coordinator = req.field;
-    st.prepare_seq = log_->next_seq();
-    st.writes = std::move(writes);
-    staged_txns_.Stage(id, std::move(st));
-    txns_prepared_.fetch_add(1, std::memory_order_relaxed);
-    repl::ReplOp prep;
-    prep.kind = repl::ReplOp::Kind::kTxnPrepare;
-    prep.key = req.key;
-    prep.field = req.field;
-    prep.value = req.value;
-    rops->push_back(std::move(prep));
+    StageTxn(id, req.field, std::move(writes), req.value, rops);
   }
   repl::ReplOp marker;
   marker.kind = repl::ReplOp::Kind::kTxnCommit;

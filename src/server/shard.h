@@ -613,12 +613,17 @@ class Shard {
   // Execute-time handlers; store mutations never happen here — txn writes
   // stage in staged_txns_ and apply post-seal (ApplyPostSealTxns), so a
   // crash before the record seals leaves the store untouched.
-  bool ExecuteTxnExec(const Request& req, std::vector<repl::ReplOp>* rops);
+  // kTxnExec and kTxnPrepare.
   bool ExecuteTxnPrepare(const Request& req, std::vector<repl::ReplOp>* rops);
   bool ExecuteTxnDecide(const Request& req, std::vector<repl::ReplOp>* rops);
   bool ExecuteTxnApply(const Request& req, std::vector<repl::ReplOp>* rops);
   bool ExecuteTxnAbortMark(const Request& req, std::vector<repl::ReplOp>* rops);
   bool ExecuteTxnRepair(const Request& req, std::vector<repl::ReplOp>* rops);
+  // Stages `writes` under txn `id` and appends the kTxnPrepare record that
+  // carries `frame`, their encoding.
+  void StageTxn(txn::TxnId id, uint32_t coordinator,
+                std::vector<repl::ReplOp> writes, const std::string& frame,
+                std::vector<repl::ReplOp>* rops);
   // Runs the queued MULTI ops of one part: reads answer from the part's own
   // staged writes first (txn read-your-writes), writes collect into *writes.
   void RunTxnOps(txn::TxnPart& part, const std::shared_ptr<txn::TxnState>& t,

@@ -117,27 +117,6 @@ bool JpfaHashMap::Remove(const std::string& key, bool free_value) {
   return true;
 }
 
-bool JpfaHashMap::WithValue(const std::string& key,
-                            const std::function<void(core::PObject&)>& fn) {
-  core::JnvmRuntime& rt = runtime();
-  std::lock_guard<std::mutex> lk(mu_);
-  rt.FaStart();
-  uint64_t bucket;
-  auto entry = FindLocked(key, &bucket, nullptr);
-  if (entry == nullptr) {
-    rt.FaEnd();
-    return false;
-  }
-  auto value = entry->Value();
-  if (value == nullptr) {
-    rt.FaEnd();
-    return false;
-  }
-  fn(*value);
-  rt.FaEnd();
-  return true;
-}
-
 uint64_t JpfaHashMap::Size() {
   core::JnvmRuntime& rt = runtime();
   std::lock_guard<std::mutex> lk(mu_);

@@ -66,10 +66,6 @@ class JpfaHashMap final : public core::PObject {
   core::Handle<core::PObject> Get(const std::string& key);
   void Put(const std::string& key, core::PObject* value, bool free_old = true);
   bool Remove(const std::string& key, bool free_value = true);
-  // Runs `fn(PRecord proxy)` on the value of `key` inside the same
-  // failure-atomic block (field updates become atomic).
-  bool WithValue(const std::string& key,
-                 const std::function<void(core::PObject&)>& fn);
   uint64_t Size();
 
  private:

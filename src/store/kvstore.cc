@@ -174,34 +174,6 @@ bool KvStore::Delete(const std::string& key) {
   return ok;
 }
 
-bool KvStore::ApplyPut(const std::string& key, const Record& r) {
-  const bool inserted = backend_->Put(key, r);
-  if (cache_enabled()) {
-    std::lock_guard<std::mutex> clk(cache_mu_);
-    CacheEraseLocked(key);
-  }
-  return inserted;
-}
-
-bool KvStore::ApplyUpdate(const std::string& key, size_t field,
-                          const std::string& value) {
-  const bool ok = backend_->UpdateField(key, field, value);
-  if (cache_enabled()) {
-    std::lock_guard<std::mutex> clk(cache_mu_);
-    CacheEraseLocked(key);
-  }
-  return ok;
-}
-
-bool KvStore::ApplyDelete(const std::string& key) {
-  const bool ok = backend_->Delete(key);
-  if (cache_enabled()) {
-    std::lock_guard<std::mutex> clk(cache_mu_);
-    CacheEraseLocked(key);
-  }
-  return ok;
-}
-
 bool KvStore::ReadModifyWrite(const std::string& key, size_t field,
                               const std::string& value) {
   Record r;

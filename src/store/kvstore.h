@@ -61,16 +61,6 @@ class KvStore {
   // Read-modify-write (YCSB rmw): read all fields, update one.
   bool ReadModifyWrite(const std::string& key, size_t field, const std::string& value);
 
-  // Replica apply path (DESIGN.md §8): re-applies an operation decoded from
-  // a replication batch frame. Skips the stripe locks — the replica's shard
-  // worker is the store's only writer — and goes straight to the backend;
-  // cache entries (when enabled) are invalidated, not re-rendered, since a
-  // follower's cache is read-driven. Idempotent: frames carry state-setting
-  // operations, so re-applying after a crash or resync converges.
-  bool ApplyPut(const std::string& key, const Record& r);
-  bool ApplyUpdate(const std::string& key, size_t field, const std::string& value);
-  bool ApplyDelete(const std::string& key);
-
   // Restart path (Figure 11): reload up to the cache capacity eagerly, like
   // Infinispan rebuilding its cache from the store.
   size_t WarmCache(const std::vector<std::string>& keys);
