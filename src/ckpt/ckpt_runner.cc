@@ -16,20 +16,6 @@ namespace {
 // client batches interleave at least 8 times per shard during the walk.
 constexpr uint32_t kWalkChunkSlots = cluster::kNumSlots / 8;
 
-// Submits an internal control request and waits for the waiter payload
-// ('+…' = success, '-…' = failure). False when the shard is stopping.
-bool RoundtripShard(server::Shard* shard, server::Request&& req, bool* ok,
-                    std::string* payload) {
-  auto waiter = std::make_shared<server::ReplWaiter>();
-  req.waiter = waiter;
-  if (!shard->Submit(std::move(req))) {
-    return false;
-  }
-  *ok = waiter->Wait();
-  *payload = std::move(waiter->error);
-  return true;
-}
-
 }  // namespace
 
 CheckpointRunner::CheckpointRunner(std::vector<server::Shard*> shards,
@@ -80,13 +66,13 @@ bool CheckpointRunner::CheckpointShard(size_t shard_idx, std::string* summary,
     req.field = 0;  // walk
     req.slot_lo = static_cast<uint16_t>(lo);
     req.slot_hi = static_cast<uint16_t>(hi);
-    bool ok = false;
     std::string payload;
-    if (!RoundtripShard(shard, std::move(req), &ok, &payload)) {
+    const auto r = shard->Call(std::move(req), &payload);
+    if (r == server::Shard::CallResult::kStopped) {
       *err = "shard " + std::to_string(shard_idx) + " is stopping";
       return false;
     }
-    if (!ok) {
+    if (r == server::Shard::CallResult::kFailed) {
       *err = "shard " + std::to_string(shard_idx) + " walk: " +
              (payload.empty() ? "refused" : payload.substr(1));
       return false;
@@ -98,13 +84,13 @@ bool CheckpointRunner::CheckpointShard(size_t shard_idx, std::string* summary,
   server::Request req;
   req.op = server::Request::Op::kCkpt;
   req.field = 1;  // finalize
-  bool ok = false;
   std::string payload;
-  if (!RoundtripShard(shard, std::move(req), &ok, &payload)) {
+  const auto r = shard->Call(std::move(req), &payload);
+  if (r == server::Shard::CallResult::kStopped) {
     *err = "shard " + std::to_string(shard_idx) + " is stopping";
     return false;
   }
-  if (!ok) {
+  if (r == server::Shard::CallResult::kFailed) {
     *err = "shard " + std::to_string(shard_idx) + " finalize: " +
            (payload.empty() ? "refused" : payload.substr(1));
     return false;

@@ -26,21 +26,6 @@ bool SplitAddr(const std::string& addr, std::string* host, uint16_t* port) {
   return true;
 }
 
-// Submits an internal control request and waits for the waiter payload.
-// Returns false when the shard is stopping; *ok / *payload carry the
-// execute-side outcome ('+…' or empty = success, '-…' = failure).
-bool RoundtripShard(server::Shard* shard, server::Request&& req, bool* ok,
-                    std::string* payload) {
-  auto waiter = std::make_shared<server::ReplWaiter>();
-  req.waiter = waiter;
-  if (!shard->Submit(std::move(req))) {
-    return false;
-  }
-  *ok = waiter->Wait();
-  *payload = std::move(waiter->error);
-  return true;
-}
-
 }  // namespace
 
 Migrator::Migrator(ClusterState* cs, std::vector<server::Shard*> shards)
@@ -145,13 +130,13 @@ bool Migrator::SnapshotShard(const MigrateOptions& o, size_t shard_idx,
     req.op = server::Request::Op::kSlotSnap;
     req.slot_lo = static_cast<uint16_t>(o.lo);
     req.slot_hi = static_cast<uint16_t>(o.hi);
-    bool ok = false;
     std::string payload;
-    if (!RoundtripShard(shards_[shard_idx], std::move(req), &ok, &payload)) {
+    const auto r = shards_[shard_idx]->Call(std::move(req), &payload);
+    if (r == server::Shard::CallResult::kStopped) {
       SetStatus("failed: shard stopping");
       return false;
     }
-    if (!ok) {
+    if (r == server::Shard::CallResult::kFailed) {
       if (payload.rfind("-TRYAGAIN", 0) == 0 && attempt < o.max_retries) {
         std::this_thread::sleep_for(std::chrono::milliseconds(o.retry_ms));
         continue;  // staged txns in flight; wait them out
@@ -193,13 +178,13 @@ Migrator::TailResult Migrator::TailShard(const MigrateOptions& o,
   req.slot_lo = static_cast<uint16_t>(o.lo);
   req.slot_hi = static_cast<uint16_t>(o.hi);
   req.repl_seq = *cursor;
-  bool ok = false;
   std::string payload;
-  if (!RoundtripShard(shards_[shard_idx], std::move(req), &ok, &payload)) {
+  const auto r = shards_[shard_idx]->Call(std::move(req), &payload);
+  if (r == server::Shard::CallResult::kStopped) {
     SetStatus("failed: shard stopping");
     return TailResult::kFail;
   }
-  if (!ok) {
+  if (r == server::Shard::CallResult::kFailed) {
     if (payload.rfind("-TXNTAIL", 0) == 0 ||
         payload.rfind("-TAILTRUNC", 0) == 0) {
       return TailResult::kResnap;
@@ -233,10 +218,10 @@ Migrator::TailResult Migrator::TailShard(const MigrateOptions& o,
 bool Migrator::BarrierSeq(size_t shard_idx, uint64_t* seq) {
   server::Request req;
   req.op = server::Request::Op::kLastSeq;
-  bool ok = false;
   std::string payload;
-  if (!RoundtripShard(shards_[shard_idx], std::move(req), &ok, &payload) ||
-      !ok || payload.empty() || payload[0] != ':') {
+  if (shards_[shard_idx]->Call(std::move(req), &payload) !=
+          server::Shard::CallResult::kOk ||
+      payload.empty() || payload[0] != ':') {
     SetStatus("failed: handoff barrier: " + payload);
     return false;
   }

@@ -1209,9 +1209,9 @@ std::optional<uint64_t> JudgeLog(server::Shard& shard, uint64_t c, bool inflight
   sync[0].waiter = waiter;
   shard.RunBatch(sync);
   std::vector<server::RespReply> replies;
-  if (!ParseReplies(waiter->error, &replies) || replies.empty() ||
+  if (!ParseReplies(waiter->payload, &replies) || replies.empty() ||
       replies[0].type != server::RespReply::Type::kSimple) {
-    out->push_back("REPLSYNC of the recovered log failed: " + waiter->error);
+    out->push_back("REPLSYNC of the recovered log failed: " + waiter->payload);
     return sealed;
   }
   for (size_t r = 1; r < replies.size(); ++r) {

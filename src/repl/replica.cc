@@ -163,15 +163,11 @@ bool ReplClient::Bootstrap(server::Client* conn, server::Shard* shard,
   if (r.type != server::RespReply::Type::kBulk) {
     return false;
   }
-  auto waiter = std::make_shared<server::ReplWaiter>();
   server::Request req;
   req.op = server::Request::Op::kSnapInstall;
   req.value = std::move(r.str);
-  req.waiter = waiter;
-  if (!shard->Submit(std::move(req))) {
-    return false;
-  }
-  if (!waiter->Wait()) {
+  std::string payload;
+  if (shard->Call(std::move(req), &payload) != server::Shard::CallResult::kOk) {
     return false;
   }
   snapshots_installed_.fetch_add(1, std::memory_order_relaxed);
@@ -179,22 +175,16 @@ bool ReplClient::Bootstrap(server::Client* conn, server::Shard* shard,
 }
 
 bool ReplClient::FetchDigests(server::Shard* shard, std::string* out) {
-  auto waiter = std::make_shared<server::ReplWaiter>();
   server::Request req;
   req.op = server::Request::Op::kLogDigests;
-  req.waiter = waiter;
-  if (!shard->Submit(std::move(req))) {
-    return false;
-  }
-  if (!waiter->Wait()) {
-    return false;
-  }
+  std::string payload;
   // Success payloads are '+'-prefixed binary digest frames (see
   // ExecuteLogDigests); anything else means no usable log to advertise.
-  if (waiter->error.empty() || waiter->error[0] != '+') {
+  if (shard->Call(std::move(req), &payload) != server::Shard::CallResult::kOk ||
+      payload.empty() || payload[0] != '+') {
     return false;
   }
-  *out = waiter->error.substr(1);
+  *out = payload.substr(1);
   return true;
 }
 

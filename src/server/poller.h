@@ -1,8 +1,6 @@
 // Event-loop readiness (DESIGN.md §7): each Server event loop holds one
-// Poller and never shares it across threads. It is a level-triggered epoll
-// set; ServerOptions::force_poll swaps in poll(2) over the same interest
-// table, so the e2e suites keep a second readiness path running beside
-// epoll.
+// Poller, a level-triggered epoll set, and never shares it across threads.
+// The server is Linux-only, so epoll is its one readiness path.
 #ifndef JNVM_SRC_SERVER_POLLER_H_
 #define JNVM_SRC_SERVER_POLLER_H_
 
@@ -21,14 +19,13 @@ class Poller {
     bool error = false;
   };
 
-  // `use_poll`: block in poll(2) instead of epoll_wait.
-  explicit Poller(bool use_poll = false);
+  Poller();
   ~Poller();
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
 
   // False when epoll_create1 failed (errno says why).
-  bool ok() const { return use_poll_ || epfd_ >= 0; }
+  bool ok() const { return epfd_ >= 0; }
 
   // Declares interest in `fd`. Level-triggered: a still-readable fd reports
   // readable on the next Wait even if the previous round did not consume
@@ -43,7 +40,6 @@ class Poller {
   void Wait(std::vector<Event>* out, int timeout_ms);
 
  private:
-  const bool use_poll_;
   int epfd_ = -1;
   std::unordered_map<int, uint8_t> fds_;  // fd -> interest mask (1=r, 2=w)
 };

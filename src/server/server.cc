@@ -188,7 +188,7 @@ std::unique_ptr<Server> Server::Start(const ServerOptions& opts,
 
   const uint32_t nloops = s->opts_.loops;
   for (uint32_t i = 0; i < nloops; ++i) {
-    auto lp = std::make_unique<Loop>(opts.force_poll);
+    auto lp = std::make_unique<Loop>();
     if (!lp->poller.ok()) {
       return fail("epoll_create1");
     }
@@ -398,10 +398,10 @@ void Server::PostWake(Loop& lp) {
 }
 
 void Server::OnCompletion(Completion&& c) {
-  // Called from shard workers and from any loop (inline joins). The loop
+  // Called from shard workers and from any loop (released parks). The loop
   // index rides in the conn id's high bits, so every completion source —
   // batch replies, released WAIT parks, released session reads, stream
-  // frames, txn phase joins — lands on the loop owning the connection.
+  // frames, join parts — lands on the loop owning the connection.
   Loop& lp = LoopFor(c.conn_id);
   {
     std::lock_guard<std::mutex> lk(lp.mu);
@@ -479,7 +479,7 @@ void Server::EventLoop(Loop& lp) {
       }
     }
     RetryStalled(lp);
-    RetryTxnPending(lp);
+    RetryPending(lp);
     for (const Poller::Event& ev : events) {
       if (lp.exiting) {
         break;
@@ -595,12 +595,13 @@ void Server::CloseConn(Loop& lp, uint64_t id) {
   for (auto& sh : shards_) {
     sh->Unsubscribe(id);  // no-op unless `id` held a REPLSYNC stream
   }
-  // An EXEC's phase-1 parts still in the stall queue go on without the
-  // client: the txn must join and decide or abort, or the parts already
-  // prepared on other shards stay staged (and clamp CKPT) until a restart.
+  // Join parts still in the stall queue go on without the client, so
+  // every join still reaches zero: an EXEC must decide or abort (or the
+  // parts already prepared on other shards stay staged, and clamp CKPT,
+  // until a restart), and a PROMOTE must flip its shards.
   for (StalledRequest& st : it->second->stalled) {
-    if (st.req.txn != nullptr) {
-      lp.txn_pending.emplace_back(st.shard, std::move(st.req));
+    if (st.req.multi != nullptr || st.req.txn != nullptr) {
+      lp.pending.emplace_back(st.shard, std::move(st.req));
     }
   }
   lp.poller.Forget(it->second->fd);
@@ -735,7 +736,7 @@ void Server::SubmitOrStall(Loop& lp, Conn& conn, uint32_t shard_idx,
       case Shard::SubmitResult::kOk:
         return;
       case Shard::SubmitResult::kStopped:
-        FailStalledRequest(lp, conn, req);  // kStopped left req intact
+        FailStalledRequest(lp, conn, shard_idx, req);  // req left intact
         return;
       case Shard::SubmitResult::kFull:
         break;  // kFull left req intact: stall it below
@@ -761,7 +762,7 @@ void Server::SubmitRuns(Loop& lp, Conn& conn) {
     for (Request& req : run) {  // the unaccepted suffix, in order
       JNVM_DCHECK(req.conn_id == conn.id);
       if (r == Shard::SubmitResult::kStopped) {
-        FailStalledRequest(lp, conn, req);
+        FailStalledRequest(lp, conn, idx, req);
       } else {
         conn.stalled.push_back(StalledRequest{idx, std::move(req)});
       }
@@ -795,7 +796,7 @@ void Server::RetryStalled(Loop& lp) {
         break;
       }
       if (r == Shard::SubmitResult::kStopped) {
-        FailStalledRequest(lp, conn, front.req);
+        FailStalledRequest(lp, conn, front.shard, front.req);
       }
       conn.stalled.pop_front();
     }
@@ -829,28 +830,13 @@ void Server::RetryStalled(Loop& lp) {
 
 // A stalled request met a stopping shard (shutdown). Resolve its reply slot
 // so the connection does not hang on a reply that can never come.
-void Server::FailStalledRequest(Loop& lp, Conn& conn, Request& req) {
-  if (req.txn != nullptr) {
-    // An EXEC's phase-1 part: SubmitTxn's retry fails it (kStopped) from a
-    // caller that holds no connection, because the phase join may deliver
-    // and flush the EXEC reply, and a flush can close `conn`.
-    const uint32_t shard = req.txn->parts[req.txn_part].shard;
-    lp.txn_pending.emplace_back(shard, std::move(req));
-    return;
-  }
-  if (req.multi != nullptr) {
-    req.multi->Fail("ERR server shutting down");
-    if (req.multi->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Every part of a multi was submitted from the owning connection's
-      // loop, so the join target lives here too.
-      const auto target = lp.conns.find(req.multi->conn_id);
-      if (target != lp.conns.end()) {
-        JNVM_DCHECK(target->second->inflight > 0);
-        --target->second->inflight;
-        std::lock_guard<std::mutex> lk(req.multi->err_mu);
-        ReplyCode(*target->second, req.multi->seq, req.multi->error);
-      }
-    }
+void Server::FailStalledRequest(Loop& lp, Conn& conn, uint32_t shard_idx,
+                                Request& req) {
+  if (req.multi != nullptr || req.txn != nullptr) {
+    // A join part: SubmitUnordered's retry fails it (kStopped) from a
+    // caller that holds no connection, because the join may answer and
+    // flush, and a flush can close `conn`.
+    lp.pending.emplace_back(shard_idx, std::move(req));
     return;
   }
   if (req.conn_id != 0) {
@@ -868,15 +854,23 @@ struct Server::Handlers {
   using Args = std::vector<std::string>;
 
   // A reply joined from `parts` shard requests (MSET, PROMOTE, MIGSTART,
-  // MIGAPPLY): the last part to finish answers `seq` on `conn`.
-  static std::shared_ptr<MultiOp> Join(Conn& conn, uint64_t seq,
-                                       uint32_t parts) {
+  // MIGAPPLY): it holds the connection's one inflight slot, and JoinPart
+  // answers it once every part has completed.
+  static std::shared_ptr<MultiOp> Join(Conn& conn, uint32_t parts) {
     auto multi = std::make_shared<MultiOp>();
-    multi->remaining.store(parts, std::memory_order_relaxed);
-    multi->conn_id = conn.id;
-    multi->seq = seq;
+    multi->remaining = parts;
     ++conn.inflight;
     return multi;
+  }
+
+  // Submits one part of `multi`, which answers `seq` on `conn`.
+  static void SubmitPart(Server& s, Loop& lp, Conn& conn, uint64_t seq,
+                         const std::shared_ptr<MultiOp>& multi, uint32_t shard,
+                         Request&& req) {
+    req.conn_id = conn.id;
+    req.seq = seq;
+    req.multi = multi;
+    s.SubmitOrStall(lp, conn, shard, std::move(req));
   }
 
   // A single-shard control request: the shard answers `seq` on `conn`.
@@ -1043,16 +1037,15 @@ struct Server::Handlers {
         }
       }
     }
-    const auto multi = Join(conn, seq, pairs);
+    const auto multi = Join(conn, pairs);
     for (uint32_t i = 0; i < pairs; ++i) {
       Request req;
       req.op = Request::Op::kSet;
       req.key = std::move(args[1 + 2 * i]);
       req.value = std::move(args[2 + 2 * i]);
-      req.multi = multi;
       const uint32_t idx =
           ShardFor(req.key, static_cast<uint32_t>(s.shards_.size()));
-      s.SubmitOrStall(lp, conn, idx, std::move(req));
+      SubmitPart(s, lp, conn, seq, multi, idx, std::move(req));
     }
     return true;
   }
@@ -1178,13 +1171,14 @@ struct Server::Handlers {
     // the stall queue like any request of this connection, so they cannot
     // overtake its earlier commands on the same shard.
     ++conn.inflight;
-    t->remaining.store(static_cast<uint32_t>(t->parts.size()),
-                       std::memory_order_release);
+    t->remaining = static_cast<uint32_t>(t->parts.size());
     for (uint32_t i = 0; i < t->parts.size(); ++i) {
       Request req;
       req.op =
           t->single_shard ? Request::Op::kTxnExec : Request::Op::kTxnPrepare;
       req.key = txn::TxnIdKey(t->id);
+      req.conn_id = conn.id;
+      req.seq = seq;
       req.txn = t;
       req.txn_part = i;
       s.SubmitOrStall(lp, conn, t->parts[i].shard, std::move(req));
@@ -1317,8 +1311,7 @@ struct Server::Handlers {
     // shard's kPromote, so a txn whose decision reached this replica commits
     // and the rest abort — never a silent partial apply.
     s.ResolveCrossShardTxns(lp);
-    const auto multi =
-        Join(conn, seq, static_cast<uint32_t>(s.shards_.size()));
+    const auto multi = Join(conn, static_cast<uint32_t>(s.shards_.size()));
     // Two-phase: each shard only audits; the join flips this whole list
     // writable iff every audit passed (see MultiOp::promote_shards).
     multi->promote_shards.reserve(s.shards_.size());
@@ -1328,8 +1321,7 @@ struct Server::Handlers {
     for (uint32_t i = 0; i < s.shards_.size(); ++i) {
       Request req;
       req.op = Request::Op::kPromote;
-      req.multi = multi;
-      s.SubmitOrStall(lp, conn, i, std::move(req));
+      SubmitPart(s, lp, conn, seq, multi, i, std::move(req));
     }
     return true;
   }
@@ -1513,16 +1505,14 @@ struct Server::Handlers {
     // Purge the range on every shard before the copy streams in: a re-driven
     // migration must not leave keys a previous partial copy wrote and the
     // source has since deleted. The joined reply is +IMPORTING.
-    const auto multi =
-        Join(conn, seq, static_cast<uint32_t>(s.shards_.size()));
+    const auto multi = Join(conn, static_cast<uint32_t>(s.shards_.size()));
     multi->ok_reply = "IMPORTING";
     for (uint32_t i = 0; i < s.shards_.size(); ++i) {
       Request req;
       req.op = Request::Op::kSlotPurge;
       req.slot_lo = static_cast<uint16_t>(lo);
       req.slot_hi = static_cast<uint16_t>(hi);
-      req.multi = multi;
-      s.SubmitOrStall(lp, conn, i, std::move(req));
+      SubmitPart(s, lp, conn, seq, multi, i, std::move(req));
     }
     return true;
   }
@@ -1551,7 +1541,7 @@ struct Server::Handlers {
     for (const auto& v : per_shard) {
       participants += v.empty() ? 0 : 1;
     }
-    const auto multi = Join(conn, seq, participants);
+    const auto multi = Join(conn, participants);
     for (uint32_t i = 0; i < per_shard.size(); ++i) {
       if (per_shard[i].empty()) {
         continue;
@@ -1559,8 +1549,7 @@ struct Server::Handlers {
       Request req;
       req.op = Request::Op::kMigApply;
       req.mig_ops = std::move(per_shard[i]);
-      req.multi = multi;
-      s.SubmitOrStall(lp, conn, i, std::move(req));
+      SubmitPart(s, lp, conn, seq, multi, i, std::move(req));
     }
     return true;
   }
@@ -1682,11 +1671,57 @@ bool Server::Dispatch(Loop& lp, Conn& conn, std::vector<std::string>& args) {
   return cmd->handler(*this, lp, conn, seq, args);
 }
 
+void Server::JoinPart(Loop& lp, Completion& c) {
+  const bool failed = !c.reply.empty() && c.reply[0] == '-';
+  if (c.txn != nullptr) {
+    txn::TxnState& t = *c.txn;
+    if (c.reply.starts_with("-WAITTIMEOUT ")) {
+      t.wait_timeout = true;  // the part's record sealed: still committing
+    } else if (failed && t.abort_reason.empty()) {
+      t.abort_reason = c.reply.substr(1, c.reply.size() - 3);  // -<reason>\r\n
+    }
+    if (--t.remaining == 0) {
+      AdvanceTxn(lp, c.txn);
+    }
+    return;
+  }
+  MultiOp& m = *c.multi;
+  if (failed && m.error.empty()) {
+    m.error = std::move(c.reply);
+  }
+  if (--m.remaining > 0) {
+    return;
+  }
+  std::string r;
+  if (m.error.empty()) {
+    // PROMOTE phase 2: every shard's audit passed — flip the whole fleet
+    // writable at once (all-or-nothing), even if the client is gone.
+    for (Shard* sh : m.promote_shards) {
+      sh->MakeWritable();
+    }
+    AppendSimple(&r, m.ok_reply);
+  } else {
+    r = std::move(m.error);
+  }
+  AnswerJoin(lp, c.conn_id, c.seq, std::move(r));
+}
+
+void Server::AnswerJoin(Loop& lp, uint64_t conn_id, uint64_t seq,
+                        std::string reply) {
+  const auto it = lp.conns.find(conn_id);
+  if (it == lp.conns.end()) {
+    return;  // client went away; the join's outcome stands regardless
+  }
+  Conn& conn = *it->second;
+  JNVM_DCHECK(conn.inflight > 0);
+  --conn.inflight;
+  if (conn.Complete(seq, std::move(reply)) && !EnforceOutCap(lp, conn)) {
+    HandleWritable(lp, conn);
+  }
+}
+
 void Server::AdvanceTxn(Loop& lp, const std::shared_ptr<txn::TxnState>& t) {
-  // Phase joins route back through the completion queue of the loop owning
-  // t->conn_id, so this always runs on that loop — the phase machine never
-  // races across threads.
-  if (t->Failed()) {
+  if (!t->abort_reason.empty()) {
     // Abort is always explicit: drop whatever staged with abort-marker
     // records (recovery and replicas observe the same outcome), then tell
     // the client. Parts that never staged (has_writes false) need nothing.
@@ -1698,13 +1733,12 @@ void Server::AdvanceTxn(Loop& lp, const std::shared_ptr<txn::TxnState>& t) {
       Request req;
       req.op = Request::Op::kTxnAbortMark;
       req.key = idkey;
-      SubmitTxn(lp, p.shard, std::move(req));
+      SubmitUnordered(lp, p.shard, std::move(req));
     }
     DeliverTxnReply(lp, t);
     return;
   }
-  const int phase = t->phase.load(std::memory_order_acquire);
-  if (phase == txn::TxnState::kPhasePrepare) {
+  if (t->phase == txn::TxnState::kPhasePrepare) {
     if (t->single_shard) {
       DeliverTxnReply(lp, t);  // the kTxnExec record was the commit
       return;
@@ -1716,12 +1750,14 @@ void Server::AdvanceTxn(Loop& lp, const std::shared_ptr<txn::TxnState>& t) {
     }
     // Phase 2: seal the decision record in the coordinator's log — the
     // durability point of the whole txn.
-    t->phase.store(txn::TxnState::kPhaseDecide, std::memory_order_release);
-    t->remaining.store(1, std::memory_order_release);
+    t->phase = txn::TxnState::kPhaseDecide;
+    t->remaining = 1;
     Request req;
     req.op = Request::Op::kTxnDecide;
     req.key = txn::TxnIdKey(t->id);
     txn::EncodeDecision(d, &req.value);
+    req.conn_id = t->conn_id;
+    req.seq = t->reply_seq;
     req.txn = t;
     for (uint32_t i = 0; i < t->parts.size(); ++i) {
       if (t->parts[i].shard == t->coordinator) {
@@ -1729,14 +1765,14 @@ void Server::AdvanceTxn(Loop& lp, const std::shared_ptr<txn::TxnState>& t) {
         break;
       }
     }
-    SubmitTxn(lp, t->coordinator, std::move(req));
+    SubmitUnordered(lp, t->coordinator, std::move(req));
     return;
   }
   // Phase 2 joined: the decision is sealed (and WAIT-K acked or timed out).
   // Phase 3 fans commit markers to the other write participants — fire and
   // forget, because a crash here is repaired from the decision record at
   // recovery — then the EXEC answers.
-  t->phase.store(txn::TxnState::kPhaseApply, std::memory_order_release);
+  t->phase = txn::TxnState::kPhaseApply;
   const std::string idkey = txn::TxnIdKey(t->id);
   for (const txn::TxnPart& p : t->parts) {
     if (!p.has_writes || p.shard == t->coordinator) {
@@ -1745,16 +1781,16 @@ void Server::AdvanceTxn(Loop& lp, const std::shared_ptr<txn::TxnState>& t) {
     Request req;
     req.op = Request::Op::kTxnApply;
     req.key = idkey;
-    SubmitTxn(lp, p.shard, std::move(req));
+    SubmitUnordered(lp, p.shard, std::move(req));
   }
   DeliverTxnReply(lp, t);
 }
 
 void Server::DeliverTxnReply(Loop& lp, const std::shared_ptr<txn::TxnState>& t) {
   std::string r;
-  if (t->Failed()) {
-    AppendErrorCode(&r, "TXNABORT " + t->AbortReason());
-  } else if (t->WaitTimedOut()) {
+  if (!t->abort_reason.empty()) {
+    AppendErrorCode(&r, "TXNABORT " + t->abort_reason);
+  } else if (t->wait_timeout) {
     // Committed locally; the WAIT-K replication quorum missed the deadline.
     // Same degraded contract as a plain write's -WAITTIMEOUT.
     AppendErrorCode(&r,
@@ -1762,55 +1798,48 @@ void Server::DeliverTxnReply(Loop& lp, const std::shared_ptr<txn::TxnState>& t) 
                     "quorum not reached");
   } else {
     AppendArrayHeader(&r, t->nops);
-    std::lock_guard<std::mutex> lk(t->mu);
     for (const std::string& frag : t->replies) {
       r += frag;
     }
   }
-  const auto it = lp.conns.find(t->conn_id);
-  if (it == lp.conns.end()) {
-    return;  // client went away; the txn outcome stands regardless
-  }
-  Conn& conn = *it->second;
-  JNVM_DCHECK(conn.inflight > 0);
-  --conn.inflight;
-  if (conn.Complete(t->reply_seq, std::move(r))) {
-    if (!EnforceOutCap(lp, conn)) {
-      HandleWritable(lp, conn);
-    }
-  }
+  AnswerJoin(lp, t->conn_id, t->reply_seq, std::move(r));
 }
 
-void Server::SubmitTxn(Loop& lp, uint32_t shard_idx, Request&& req) {
-  // Internal txn-plane submission: never blocks the event loop and never
-  // read-pauses a connection. Full queues park the request here and retry
-  // on loop ticks / completion drains; a stopping shard fails the txn and
-  // counts the phase join down itself so the reply still resolves (this
-  // also fails the stalled phase-1 parts FailStalledRequest parks here).
+void Server::SubmitUnordered(Loop& lp, uint32_t shard_idx, Request&& req) {
+  // Never blocks the event loop and never read-pauses a connection. Full
+  // queues park the request here and retry on loop ticks / completion
+  // drains; a stopping shard fails a join part through JoinPart, with the
+  // reply the shard would have given, so the join still resolves.
   switch (shards_[shard_idx]->TrySubmit(std::move(req))) {
     case Shard::SubmitResult::kOk:
       return;
     case Shard::SubmitResult::kFull:
-      lp.txn_pending.emplace_back(shard_idx, std::move(req));
+      lp.pending.emplace_back(shard_idx, std::move(req));
       return;
     case Shard::SubmitResult::kStopped:
-      if (req.txn != nullptr) {
-        req.txn->Fail("server shutting down");
-        if (req.txn->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          AdvanceTxn(lp, req.txn);
-        }
+      if (req.multi != nullptr || req.txn != nullptr) {
+        Completion c;
+        c.conn_id = req.conn_id;
+        c.seq = req.seq;
+        // A txn part's error becomes the EXEC's abort reason.
+        AppendErrorCode(&c.reply, req.txn != nullptr
+                                      ? "server shutting down"
+                                      : "ERR server shutting down");
+        c.multi = std::move(req.multi);
+        c.txn = std::move(req.txn);
+        JoinPart(lp, c);
       }
       return;
   }
 }
 
-void Server::RetryTxnPending(Loop& lp) {
+void Server::RetryPending(Loop& lp) {
   // One pass over the queue; still-full shards re-park at the back.
-  size_t n = lp.txn_pending.size();
-  while (n-- > 0 && !lp.txn_pending.empty()) {
-    auto item = std::move(lp.txn_pending.front());
-    lp.txn_pending.pop_front();
-    SubmitTxn(lp, item.first, std::move(item.second));
+  size_t n = lp.pending.size();
+  while (n-- > 0 && !lp.pending.empty()) {
+    auto item = std::move(lp.pending.front());
+    lp.pending.pop_front();
+    SubmitUnordered(lp, item.first, std::move(item.second));
   }
 }
 
@@ -1839,7 +1868,7 @@ void Server::ResolveCrossShardTxns(Loop& lp) {
     } else {
       req.op = Request::Op::kTxnApply;
     }
-    SubmitTxn(lp, a.shard, std::move(req));
+    SubmitUnordered(lp, a.shard, std::move(req));
   }
 }
 
@@ -1861,11 +1890,11 @@ void Server::DrainCompletions(Loop& lp) {
     }
   };
   for (Completion& c : batch) {
-    if (c.txn != nullptr) {
-      // Txn phase join: advance the 2PC regardless of client liveness —
-      // the decision and commit markers must still seal even when the
-      // issuing connection is gone.
-      AdvanceTxn(lp, c.txn);
+    if (c.multi != nullptr || c.txn != nullptr) {
+      // A join part counts down regardless of client liveness: a txn's
+      // decision and commit markers must still seal, and a PROMOTE flip,
+      // when the issuing connection is gone.
+      JoinPart(lp, c);
       continue;
     }
     const auto it = lp.conns.find(c.conn_id);
@@ -1900,7 +1929,7 @@ void Server::DrainCompletions(Loop& lp) {
   FlushDirty(lp, dirty);
   // Completions mean shard queues drained: stalled submissions may fit now.
   RetryStalled(lp);
-  RetryTxnPending(lp);
+  RetryPending(lp);
 }
 
 void Server::FlushDirty(Loop& lp, const std::vector<uint64_t>& dirty) {
@@ -2239,11 +2268,11 @@ void Server::FinishLoop(Loop& lp) {
   }
   StopIntake(lp);  // no-op when phase 1 already ran here
   lp.exiting = true;
-  // The shards are stopped: re-driving stalled and parked txn work now
-  // fails it cleanly (kStopped → FailStalledRequest / txn Fail), so every
-  // reply slot resolves before the flush below.
+  // The shards are stopped: re-driving stalled and pending work now fails
+  // it cleanly (kStopped → FailStalledRequest / JoinPart), so every reply
+  // slot resolves before the flush below.
   RetryStalled(lp);
-  RetryTxnPending(lp);
+  RetryPending(lp);
   DrainCompletions(lp);
   FlushAllBestEffort(lp);
   while (!lp.conns.empty()) {

@@ -25,6 +25,16 @@
 // FIFO per (connection, shard) — a run stalls its unaccepted suffix in
 // order — but not across shards (src/server/conn.h).
 //
+// Joins. A reply that spans shards — a MultiOp (MSET, PROMOTE, MIGSTART,
+// MIGAPPLY) or a phase of a cross-shard EXEC — is counted down here, never
+// on a shard worker: each part's completion routes home by its connection
+// id, and JoinPart records the first error, counts down and, at zero,
+// answers the join (flipping PROMOTE's shards first) or advances the txn.
+// Only the owning loop touches a join after its parts are submitted, so
+// neither join type needs an atomic or a lock. The join holds its
+// connection's one inflight slot; its parts hold none, and a part the loop
+// fails itself (stopped shard) goes through JoinPart too.
+//
 // Commands (RESP arrays of bulk strings; names case-insensitive). One
 // static table in server.cc (Server::Commands) lists them all with their
 // argument counts and admission flags; Dispatch looks the name up there.
@@ -93,8 +103,8 @@
 // primary itself via repl::ReplClient.
 //
 // Readiness (src/server/poller.h): every loop blocks in its own
-// level-triggered epoll set (poll(2) under ServerOptions::force_poll) and
-// flushes each dirty connection with one writev.
+// level-triggered epoll set and flushes each dirty connection with one
+// writev.
 #ifndef JNVM_SRC_SERVER_SERVER_H_
 #define JNVM_SRC_SERVER_SERVER_H_
 
@@ -129,9 +139,6 @@ struct ServerOptions {
   // Event-loop threads (clamped to [1, 64]), each blocking in its own epoll
   // set. Each owns a listener and the connections it accepts.
   uint32_t loops = 1;
-  // Run every loop on poll(2) instead of epoll. The Pollers/ e2e suites run
-  // both so the two readiness paths stay exercised on one platform.
-  bool force_poll = false;
   // With loops > 1: true gives every loop its own SO_REUSEPORT listener;
   // false runs hand-off mode (loop 0 owns the only listener and deals
   // accepted fds round-robin to the pool), whose deterministic connection
@@ -166,6 +173,21 @@ struct ServerOptions {
   // server. The input cap must exceed the largest legal command frame.
   uint64_t max_conn_in_bytes = 32ull << 20;
   uint64_t max_conn_out_bytes = 64ull << 20;
+};
+
+// A reply joined from several shard requests (MSET, PROMOTE, MIGSTART,
+// MIGAPPLY). A handler builds it and submits one part per shard; every
+// part's completion carries it back to the loop owning the connection,
+// the only thread that touches it afterwards (Server::JoinPart).
+struct MultiOp {
+  uint32_t remaining = 0;       // parts not yet completed
+  std::string error;            // first failing part's reply; empty = healthy
+  std::string ok_reply = "OK";  // joined success reply (MIGSTART: IMPORTING)
+  // Two-phase PROMOTE: each shard only audits; when every part is in and
+  // none failed, the join flips every listed shard writable. An audit
+  // failure on any shard therefore flips none: no mixed read-only/writable
+  // fleet.
+  std::vector<Shard*> promote_shards;
 };
 
 // Aggregate outcome of a SHUTDOWN / Stop(): per-shard quiesce reports.
@@ -262,8 +284,6 @@ class Server : public CompletionSink {
   // loop; cross-thread traffic enters only through `mu`-guarded queues
   // (completions, handed-off fds) plus the wake pipe.
   struct Loop {
-    explicit Loop(bool use_poll) : poller(use_poll) {}
-
     uint32_t index = 0;
     int listen_fd = -1;  // own SO_REUSEPORT listener; -1 in hand-off mode
     int wake_r = -1, wake_w = -1;  // self-pipe
@@ -289,10 +309,11 @@ class Server : public CompletionSink {
     // Connections with a non-empty stall queue (backpressure), retried
     // after completions drain and on each loop tick.
     std::vector<uint64_t> stalled_conns;
-    // Internal txn-phase requests waiting for shard-queue space (a loop
-    // never blocks on Submit), and stalled phase-1 parts whose shard
-    // stopped (FailStalledRequest) or whose connection closed (CloseConn).
-    std::deque<std::pair<uint32_t, Request>> txn_pending;
+    // Requests with no connection order to keep, waiting for shard-queue
+    // space (a loop never blocks on Submit): internal txn requests (phases
+    // 2–3, recovery resolution), and stalled join parts whose shard stopped
+    // (FailStalledRequest) or whose connection closed (CloseConn).
+    std::deque<std::pair<uint32_t, Request>> pending;
 
     LoopCounters counters;
 
@@ -340,25 +361,39 @@ class Server : public CompletionSink {
   // and parsing when a connection's stall queue empties.
   void RetryStalled(Loop& lp);
   void PauseReads(Loop& lp, Conn& conn);
-  // Resolves the reply slot of a stalled request whose shard is stopping.
-  void FailStalledRequest(Loop& lp, Conn& conn, Request& req);
+  // Resolves the reply slot of a request whose shard `shard_idx` is
+  // stopping. A join part moves to lp.pending, whose retry fails it.
+  void FailStalledRequest(Loop& lp, Conn& conn, uint32_t shard_idx,
+                          Request& req);
   void DrainCompletions(Loop& lp);
   // Ships every connection DrainCompletions dirtied: one HandleWritable
   // (writev) each.
   void FlushDirty(Loop& lp, const std::vector<uint64_t>& dirty);
+  // ---- Joins -------------------------------------------------------------
+  // Counts one join part down with its outcome `c.reply` (an error fails
+  // the join; a txn part's -WAITTIMEOUT only degrades the EXEC reply). At
+  // zero it flips PROMOTE's shards and answers the join, or advances the
+  // txn, whether or not the client is still connected. Runs on the loop
+  // owning the join's connection, for shard completions and for parts the
+  // loop fails itself.
+  void JoinPart(Loop& lp, Completion& c);
+  // Answers a finished join on its connection, if it still exists, and
+  // flushes it.
+  void AnswerJoin(Loop& lp, uint64_t conn_id, uint64_t seq, std::string reply);
   // ---- Transactions (DESIGN.md §9) ---------------------------------------
-  // Phase machine, driven by shard completions carrying Completion::txn.
+  // Phase machine, driven by JoinPart when a phase's last part is in.
   // Always runs on the loop owning the txn's connection.
   void AdvanceTxn(Loop& lp, const std::shared_ptr<txn::TxnState>& t);
   // Assembles and delivers the final EXEC reply (*N array, -TXNABORT or
   // -WAITTIMEOUT) to the owning connection, if it still exists.
   void DeliverTxnReply(Loop& lp, const std::shared_ptr<txn::TxnState>& t);
-  // Submits a txn request that has no connection to order behind (phases
-  // 2–3, recovery resolution) without ever blocking the loop: kFull
-  // requests park in lp.txn_pending and retry on loop ticks. Phase 1 goes
-  // through the connection's stall queue instead (SubmitOrStall).
-  void SubmitTxn(Loop& lp, uint32_t shard_idx, Request&& req);
-  void RetryTxnPending(Loop& lp);
+  // Submits a request that has no connection order to keep (txn phases
+  // 2–3, recovery resolution, join parts lp.pending holds) without ever
+  // blocking the loop: kFull requests park in lp.pending and retry on loop
+  // ticks; a join part whose shard stopped fails through JoinPart. Phase 1
+  // goes through the connection's stall queue instead (SubmitOrStall).
+  void SubmitUnordered(Loop& lp, uint32_t shard_idx, Request&& req);
+  void RetryPending(Loop& lp);
   // Crash/promote resolution: commit-or-abort every prepared-but-undecided
   // txn by presence of the sealed decision in its coordinator's log.
   void ResolveCrossShardTxns(Loop& lp);

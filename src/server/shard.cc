@@ -337,6 +337,17 @@ bool Shard::Submit(Request&& req) {
   return true;
 }
 
+Shard::CallResult Shard::Call(Request&& req, std::string* payload) {
+  auto waiter = std::make_shared<ReplWaiter>();
+  req.waiter = waiter;
+  if (!Submit(std::move(req))) {
+    return CallResult::kStopped;
+  }
+  const bool ok = waiter->Wait();
+  *payload = std::move(waiter->payload);
+  return ok ? CallResult::kOk : CallResult::kFailed;
+}
+
 Shard::SubmitResult Shard::PushRun(Request* reqs, size_t n, size_t* taken) {
   *taken = 0;
   {
@@ -445,11 +456,7 @@ bool Shard::Execute(const Request& req, std::string* reply,
   switch (req.op) {
     case Request::Op::kSet: {
       if (follower()) {
-        if (req.multi != nullptr) {
-          req.multi->Fail(kReadonlyMsg);
-        } else {
-          AppendErrorCode(reply, kReadonlyMsg);
-        }
+        AppendErrorCode(reply, kReadonlyMsg);
         return false;
       }
       // MIGRATING slot: a key this node no longer holds belongs to the
@@ -457,11 +464,7 @@ bool Shard::Execute(const Request& req, std::string* reply,
       // cursor may already be past its slot).
       if (!req.ask_addr.empty() && !kv_->Touch(req.key)) {
         ask_replies_.fetch_add(1, std::memory_order_relaxed);
-        if (req.multi != nullptr) {
-          req.multi->Fail("ASK " + req.ask_addr);
-        } else {
-          AppendErrorCode(reply, "ASK " + req.ask_addr);
-        }
+        AppendErrorCode(reply, "ASK " + req.ask_addr);
         return false;
       }
       store::Record r;
@@ -476,9 +479,7 @@ bool Shard::Execute(const Request& req, std::string* reply,
         op.record = std::move(r);
         rops->push_back(std::move(op));
       }
-      if (req.multi == nullptr) {
-        AppendSimple(reply, "OK");
-      }
+      AppendSimple(reply, "OK");
       return true;
     }
     case Request::Op::kGet: {
@@ -552,7 +553,7 @@ bool Shard::Execute(const Request& req, std::string* reply,
       return ExecuteApply(req);
     case Request::Op::kTxnExec:
     case Request::Op::kTxnPrepare:
-      return ExecuteTxnPrepare(req, rops);
+      return ExecuteTxnPrepare(req, reply, rops);
     case Request::Op::kTxnDecide:
       return ExecuteTxnDecide(req, rops);
     case Request::Op::kTxnApply:
@@ -593,7 +594,7 @@ bool Shard::Execute(const Request& req, std::string* reply,
       ExecuteLogDigests(reply);
       return false;
     case Request::Op::kPromote:
-      ExecutePromote(req, reply);
+      ExecutePromote(reply);
       return false;
     case Request::Op::kLastSeq: {
       // Singleton control batch: every write the connection pipelined ahead
@@ -709,7 +710,6 @@ bool Shard::ExecuteApply(const Request& req) {
 void Shard::RunTxnOps(txn::TxnPart& part,
                       const std::shared_ptr<txn::TxnState>& t,
                       std::vector<repl::ReplOp>* writes) {
-  std::lock_guard<std::mutex> lk(t->mu);
   for (const txn::TxnOp& op : part.ops) {
     std::string* reply = &t->replies[op.reply_index];
     // The latest staged write to the same key wins a read or an existence
@@ -773,17 +773,19 @@ void Shard::RunTxnOps(txn::TxnPart& part,
 // marker to the same record, so it costs the one sealed record and one Psync
 // of a plain batch — and a run of kTxnExec requests shares both. Read-only
 // participants join the phase without a record: they never enter the
-// decision's membership.
-bool Shard::ExecuteTxnPrepare(const Request& req,
+// decision's membership. A refused part answers the error the loop turns
+// into the EXEC's abort reason.
+bool Shard::ExecuteTxnPrepare(const Request& req, std::string* reply,
                               std::vector<repl::ReplOp>* rops) {
   const std::shared_ptr<txn::TxnState>& t = req.txn;
   txn::TxnPart& part = t->parts[req.txn_part];
   if (follower()) {
-    t->Fail(kReadonlyMsg);
+    AppendErrorCode(reply, kReadonlyMsg);
     return false;
   }
   if (log_ == nullptr) {
-    t->Fail("replication log disabled - transactions unavailable");
+    AppendErrorCode(reply,
+                    "replication log disabled - transactions unavailable");
     return false;
   }
   std::vector<repl::ReplOp> writes;
@@ -934,20 +936,6 @@ void Shard::ApplyPostSealTxns() {
   rt_->Psync();
   rt_->DrainGroupFrees();
   post_seal_txns_.clear();
-}
-
-// The last part of a txn phase to deliver — post-Psync, and post-WAIT-K
-// when configured — adds one completion carrying the txn to its batch's
-// post; the event loop advances the phase state machine.
-void Shard::TxnJoin(const std::shared_ptr<txn::TxnState>& t,
-                    std::vector<Completion>* out) {
-  if (t->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    Completion c;
-    c.conn_id = t->conn_id;
-    c.seq = t->reply_seq;
-    c.txn = t;
-    out->push_back(std::move(c));
-  }
 }
 
 txn::ShardTxnView Shard::TxnView() const {
@@ -1320,11 +1308,7 @@ void Shard::ExecuteSlotTail(const Request& req, std::string* reply) {
 bool Shard::ExecuteSlotPurge(const Request& req, std::string* reply,
                              std::vector<repl::ReplOp>* rops) {
   if (follower()) {
-    if (req.multi != nullptr) {
-      req.multi->Fail(kReadonlyMsg);
-    } else {
-      *reply = std::string("-") + kReadonlyMsg;
-    }
+    AppendErrorCode(reply, kReadonlyMsg);
     return false;
   }
   std::vector<std::string> victims;
@@ -1345,9 +1329,7 @@ bool Shard::ExecuteSlotPurge(const Request& req, std::string* reply,
       rops->push_back(std::move(op));
     }
   }
-  if (req.multi == nullptr) {
-    *reply = "+PURGED " + std::to_string(victims.size());
-  }
+  AppendSimple(reply, "OK");
   return !victims.empty();
 }
 
@@ -1358,11 +1340,7 @@ bool Shard::ExecuteSlotPurge(const Request& req, std::string* reply,
 bool Shard::ExecuteMigApply(const Request& req, std::string* reply,
                             std::vector<repl::ReplOp>* rops) {
   if (follower()) {
-    if (req.multi != nullptr) {
-      req.multi->Fail(kReadonlyMsg);
-    } else {
-      AppendErrorCode(reply, kReadonlyMsg);
-    }
+    AppendErrorCode(reply, kReadonlyMsg);
     return false;
   }
   bool wrote = false;
@@ -1398,9 +1376,7 @@ bool Shard::ExecuteMigApply(const Request& req, std::string* reply,
       }
     }
   }
-  if (req.multi == nullptr && req.conn_id != 0) {
-    AppendSimple(reply, "OK");
-  }
+  AppendSimple(reply, "OK");
   return wrote;
 }
 
@@ -1442,10 +1418,10 @@ uint64_t Shard::KeysInSlotRange(uint32_t lo, uint32_t hi) const {
 // PROMOTE phase 1: the queue ahead of this op has drained (singleton
 // control batch), so the heap is quiescent. Seal outstanding state and run
 // the full I1–I7 audit (with FA-log quiescence). The shard does NOT flip
-// writable here: the multi-op join — which sees every shard's verdict —
-// flips all shards or none (MultiOp::promote_shards), so a failed audit on
-// one shard never leaves the fleet half-writable.
-void Shard::ExecutePromote(const Request& req, std::string* reply) {
+// writable here: the PROMOTE join on the event loop — which sees every
+// shard's verdict — flips all shards or none (Server::JoinPart), so a
+// failed audit on one shard never leaves the fleet half-writable.
+void Shard::ExecutePromote(std::string* reply) {
   rt_->Psync();
   core::IntegrityOptions iopts;
   iopts.audit_fa_logs = true;
@@ -1454,36 +1430,24 @@ void Shard::ExecutePromote(const Request& req, std::string* reply) {
     ir.violations.insert(ir.violations.begin(), "injected audit failure");
   }
   if (!ir.ok()) {
-    std::string msg = "ERR promote audit failed on shard " +
-                      std::to_string(index_) + ": " + ir.violations.front();
-    if (req.multi != nullptr) {
-      req.multi->Fail(msg);
-    } else {
-      AppendErrorCode(reply, msg);
-    }
+    AppendError(reply, "promote audit failed on shard " +
+                           std::to_string(index_) + ": " +
+                           ir.violations.front());
     return;
   }
-  if (req.multi == nullptr) {
-    // Direct single-shard promotion (tests): audit and flip are one step.
-    MakeWritable();
-    AppendSimple(reply, "OK");
-  }
+  AppendSimple(reply, "OK");
 }
 
 void Shard::DeliverBatch(std::vector<Request>& batch,
                          std::vector<std::string>& replies) {
   // Runs after the batch's durability point: replies may now leave the
-  // machine. Multi-op parts are counted down here — post-Psync — so the
-  // joined +OK implies every part is durable on its own shard. The batch's
-  // completions leave together, in one OnCompletions post.
+  // machine, and a join part's completion reaches its loop only now, so a
+  // joined reply implies every part is durable on its own shard. The
+  // batch's completions leave together, in one OnCompletions post.
   std::vector<Completion> out;
   out.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     Request& req = batch[i];
-    if (req.txn != nullptr) {
-      TxnJoin(req.txn, &out);
-      continue;
-    }
     if (req.waiter != nullptr) {
       // Waiter payloads are not RESP: empty or '+…' signals success (the
       // slot cursors return binary frames through the '+' arm), '-…' is a
@@ -1492,35 +1456,17 @@ void Shard::DeliverBatch(std::vector<Request>& batch,
       req.waiter->Signal(ok, std::move(replies[i]));
       continue;
     }
-    if (req.multi != nullptr) {
-      if (req.multi->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        Completion c;
-        c.conn_id = req.multi->conn_id;
-        c.seq = req.multi->seq;
-        if (req.multi->failures.load(std::memory_order_acquire) > 0) {
-          std::lock_guard<std::mutex> lk(req.multi->err_mu);
-          AppendErrorCode(&c.reply, req.multi->error);
-        } else {
-          // PROMOTE phase 2: every shard's audit passed — flip the whole
-          // fleet writable at once (all-or-nothing).
-          for (Shard* sh : req.multi->promote_shards) {
-            sh->MakeWritable();
-          }
-          AppendSimple(&c.reply, req.multi->ok_reply.empty()
-                                     ? "OK"
-                                     : req.multi->ok_reply);
-        }
-        out.push_back(std::move(c));
-      }
+    if (req.conn_id == 0 && req.txn == nullptr) {
+      // Internal request (ReplClient, txn resolution). A txn part always
+      // answers: its phase cannot finish without it.
       continue;
-    }
-    if (req.conn_id == 0) {
-      continue;  // internal request (ReplClient): no completion
     }
     Completion c;
     c.conn_id = req.conn_id;
     c.seq = req.seq;
     c.reply = std::move(replies[i]);
+    c.multi = std::move(req.multi);
+    c.txn = std::move(req.txn);
     out.push_back(std::move(c));
   }
   if (!out.empty()) {
@@ -1607,20 +1553,11 @@ void Shard::DeliverParked(ParkedBatch&& p, bool timed_out) {
         std::to_string(opts_.wait_acks) + " not reached for seq " +
         std::to_string(p.last_seq);
     // Only write replies degrade: a read in the batch observed committed
-    // state and keeps its payload.
+    // state and keeps its payload. A degraded txn part still commits — its
+    // record IS sealed — and the loop turns the EXEC reply into its own
+    // -WAITTIMEOUT.
     for (size_t i = 0; i < p.reqs.size(); ++i) {
-      if (!p.wrote[i]) {
-        continue;
-      }
-      if (p.reqs[i].txn != nullptr) {
-        // The txn keeps committing — its record IS sealed — but the final
-        // EXEC reply degrades to -WAITTIMEOUT (decided by the event loop).
-        p.reqs[i].txn->NoteWaitTimeout();
-        continue;
-      }
-      if (p.reqs[i].multi != nullptr) {
-        p.reqs[i].multi->Fail(msg);
-      } else {
+      if (p.wrote[i]) {
         p.replies[i].clear();
         AppendErrorCode(&p.replies[i], msg);
       }

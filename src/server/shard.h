@@ -21,6 +21,13 @@
 // The queue is FIFO, so the requests one connection sends a shard execute
 // in the order it sent them.
 //
+// A shard answers every request exactly once and knows nothing of replies
+// that span shards. Each part of such a join (an MSET, PROMOTE, MIGSTART or
+// MIGAPPLY MultiOp, or one phase of a cross-shard EXEC) posts its own
+// completion carrying the join back, and the event loop that owns the
+// requesting connection counts the join down (src/server/server.h). The
+// worker's only duties are executing, sealing and delivering in order.
+//
 // The worker executes requests in batches of up to `batch` and holds the
 // heap in group-commit mode for the batch: per-operation trailing
 // durability fences are elided (heap::Heap::DurabilityFence) and one Psync
@@ -64,6 +71,9 @@
 #include "src/txn/txn.h"
 
 namespace jnvm::server {
+
+// A reply joined across shards; the server defines and counts it.
+struct MultiOp;
 
 // FNV-1a 64-bit — the request router's key hash. Shared with tests and the
 // crashcheck "server"/"repl" workloads so all agree on placement.
@@ -168,12 +178,12 @@ struct Request {
     kReplSync,     // repl_seq = from-seq; converts the conn to a stream
     kReplSnap,     // full-store snapshot frame reply
     kSnapInstall,  // value = snapshot frame; waiter signalled post-Psync
-    kPromote,      // audit + flip follower → primary (multi joins shards)
+    kPromote,      // audit only; the loop's join flips every shard writable
     kLastSeq,      // :sealed-seq reply; singleton batch, so every write the
                    // connection pipelined before it is already sealed
-    // Transaction plane (DESIGN.md §9). All five are internal (conn_id = 0,
-    // submitted by the server's coordinator hook or recovery); the EXEC
-    // reply is staged through Request::txn and delivered by the event loop.
+    // Transaction plane (DESIGN.md §9). Internal requests, submitted by the
+    // server's coordinator hook or recovery; the EXEC reply is staged
+    // through Request::txn and delivered by the event loop.
     kTxnExec,      // single-shard txn: one [prepare|marker] record, one Psync
     kTxnPrepare,   // stage this part's writes + seal a kTxnPrepare record
     kTxnDecide,    // coordinator: seal the decision record (value = payload),
@@ -227,65 +237,39 @@ struct Request {
   std::vector<repl::ReplOp> mig_ops;
 
   // Completion routing (opaque to the shard). conn_id == 0 → internal
-  // request, no completion is emitted.
+  // request, no completion is emitted unless it is a txn part.
   uint64_t conn_id = 0;
   uint64_t seq = 0;
 
-  // Non-null for one part of a multi-shard operation (MSET, PROMOTE): the
-  // last part to complete — counted *after* its shard's Psync — emits the
-  // one reply.
-  std::shared_ptr<struct MultiOp> multi;
-  // Non-null for kSnapInstall: signalled after the install's Psync.
+  // Non-null for one part of a reply joined across shards (MSET, PROMOTE,
+  // MIGSTART, MIGAPPLY; defined server-side). The part's completion carries
+  // it back to the loop owning conn_id, which counts the join down.
+  std::shared_ptr<MultiOp> multi;
+  // Non-null for internal control requests (Shard::Call): signalled after
+  // the request's batch sealed, instead of a completion.
   std::shared_ptr<struct ReplWaiter> waiter;
-  // Non-null for txn-plane requests (kTxnExec/kTxnPrepare/kTxnDecide/
-  // kTxnApply): the in-flight EXEC this request belongs to. The last part
-  // of the current phase to deliver — after its shard's Psync (and WAIT-K
-  // ack, when configured) — posts one phase completion to the event loop.
+  // Non-null for a txn phase part (kTxnExec/kTxnPrepare/kTxnDecide): the
+  // in-flight EXEC it belongs to. Its completion — after its shard's Psync
+  // (and WAIT-K ack, when configured) — carries the txn back to the loop,
+  // which counts the phase down.
   std::shared_ptr<txn::TxnState> txn;
   uint32_t txn_part = 0;  // index into txn->parts for this shard's slice
 };
 
-struct MultiOp {
-  std::atomic<uint32_t> remaining{0};
-  uint64_t conn_id = 0;
-  uint64_t seq = 0;
-  // Failure funnel: any part may record an error; the joined reply turns
-  // into that error instead of +OK.
-  std::atomic<uint32_t> failures{0};
-  std::mutex err_mu;
-  std::string error;  // first failure's message (RESP code included)
-  // Joined success reply; empty → "+OK". MIGSTART joins as "+IMPORTING".
-  std::string ok_reply;
-
-  // Two-phase PROMOTE: audits run on every shard first (phase 1, recorded
-  // through the failure funnel); only the joining part — all audits passed —
-  // flips every listed shard writable (phase 2). An audit failure on any
-  // shard therefore flips none: no mixed read-only/writable fleet.
-  std::vector<class Shard*> promote_shards;
-
-  void Fail(const std::string& msg) {
-    failures.fetch_add(1, std::memory_order_acq_rel);
-    std::lock_guard<std::mutex> lk(err_mu);
-    if (error.empty()) {
-      error = msg;
-    }
-  }
-};
-
-// Blocking rendezvous for internal control requests (snapshot install).
+// Blocking rendezvous for internal control requests (Shard::Call).
 struct ReplWaiter {
   std::mutex mu;
   std::condition_variable cv;
   bool done = false;
   bool ok = false;
-  std::string error;
+  std::string payload;  // the request's reply: its result or its error
 
-  void Signal(bool success, std::string msg) {
+  void Signal(bool success, std::string reply) {
     {
       std::lock_guard<std::mutex> lk(mu);
       done = true;
       ok = success;
-      error = std::move(msg);
+      payload = std::move(reply);
     }
     cv.notify_all();
   }
@@ -297,7 +281,9 @@ struct ReplWaiter {
 };
 
 // A finished request: the pre-rendered RESP reply plus its routing tag. By
-// delivery time the operation's effects are durable. `stream` marks
+// delivery time the operation's effects are durable. A join part's reply is
+// the part's own outcome (an error, or anything else for success; a txn
+// part's success is empty) and `multi` / `txn` name its join. `stream` marks
 // replication-stream frames: they bypass the per-connection reorder buffer
 // (a REPLSYNC connection has no further pending commands) and are appended
 // to the socket in arrival order. Stream frames travel as `frame` — a
@@ -309,8 +295,7 @@ struct Completion {
   std::string reply;
   bool stream = false;
   std::shared_ptr<const std::string> frame;  // stream payload (shared)
-  // Non-null: a txn phase join finished — the event loop advances the txn's
-  // state machine instead of writing `reply` to a connection.
+  std::shared_ptr<MultiOp> multi;
   std::shared_ptr<txn::TxnState> txn;
 };
 
@@ -489,6 +474,14 @@ class Shard {
   // = a suffix is left, kStopped = nothing taken (terminal).
   SubmitResult TrySubmitMany(std::vector<Request>* reqs);
 
+  // Blocking round trip for an internal control request (ReplClient,
+  // migrator, checkpoint runner): submits `req` with a waiter, waits until
+  // its batch sealed and moves its reply into *payload. kOk: empty or '+…';
+  // kFailed: '-…'; kStopped: the shard refused it and *payload is untouched.
+  // Safe only from threads that may block, like Submit.
+  enum class CallResult : uint8_t { kOk, kFailed, kStopped };
+  CallResult Call(Request&& req, std::string* payload);
+
   // Drops a replication-stream subscription (connection closed).
   void Unsubscribe(uint64_t conn_id);
 
@@ -524,8 +517,8 @@ class Shard {
   void SetSealHook(std::function<void(uint64_t)> hook);
 
   // Phase 2 of PROMOTE: flips the shard writable. Only meaningful after its
-  // kPromote audit passed; called by the multi-op join for all shards at
-  // once.
+  // kPromote audit passed; the PROMOTE join calls it for every shard at
+  // once, from the event loop.
   void MakeWritable() { follower_.store(false, std::memory_order_release); }
 
   // Thread-safe counters snapshot (STATS command; no queue round-trip).
@@ -583,7 +576,7 @@ class Shard {
   void ExecuteReplSync(const Request& req, std::string* reply);
   void ExecuteReplSnap(std::string* reply);
   bool ExecuteSnapInstall(const Request& req, std::string* error);
-  void ExecutePromote(const Request& req, std::string* reply);
+  void ExecutePromote(std::string* reply);
   // Cluster plane: slot cursors (waiter payloads: "+…" ok, "-…" error) and
   // the destination-side import ops.
   void ExecuteSlotSnap(const Request& req, std::string* reply);
@@ -603,7 +596,8 @@ class Shard {
   // how many moved into the queue (a prefix). Backs TrySubmit and
   // TrySubmitMany.
   SubmitResult PushRun(Request* reqs, size_t n, size_t* taken);
-  // Posts the batch's completions through one OnCompletions call.
+  // Signals the batch's waiters and posts its completions, one per request
+  // that has a connection or a join, through one OnCompletions call.
   void DeliverBatch(std::vector<Request>& batch, std::vector<std::string>& replies);
   void StreamToSubscribers(uint64_t first_seq, uint64_t last_seq);
   void RedoLogTail(uint64_t replay_from, txn::LogScanResult* scan);
@@ -613,8 +607,9 @@ class Shard {
   // Execute-time handlers; store mutations never happen here — txn writes
   // stage in staged_txns_ and apply post-seal (ApplyPostSealTxns), so a
   // crash before the record seals leaves the store untouched.
-  // kTxnExec and kTxnPrepare.
-  bool ExecuteTxnPrepare(const Request& req, std::vector<repl::ReplOp>* rops);
+  // kTxnExec and kTxnPrepare. *reply stays empty unless the part fails.
+  bool ExecuteTxnPrepare(const Request& req, std::string* reply,
+                         std::vector<repl::ReplOp>* rops);
   bool ExecuteTxnDecide(const Request& req, std::vector<repl::ReplOp>* rops);
   bool ExecuteTxnApply(const Request& req, std::vector<repl::ReplOp>* rops);
   bool ExecuteTxnAbortMark(const Request& req, std::vector<repl::ReplOp>* rops);
@@ -633,9 +628,6 @@ class Shard {
   // only seal after these applies are durable, preserving the redo-tail
   // invariant (only the tail record's store effects may be incomplete).
   void ApplyPostSealTxns();
-  // Phase join: the last request of a txn phase adds one completion to *out.
-  void TxnJoin(const std::shared_ptr<txn::TxnState>& t,
-               std::vector<Completion>* out);
 
   // ---- WAIT-K parking (worker + event-loop threads) -----------------------
   // A sealed batch withheld between its Psync and its delivery.

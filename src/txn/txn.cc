@@ -380,31 +380,6 @@ std::vector<ResolutionAction> PlanResolution(
 
 // ---- TxnState --------------------------------------------------------------
 
-void TxnState::Fail(const std::string& reason) {
-  std::lock_guard<std::mutex> lk(mu);
-  if (abort_reason.empty()) abort_reason = reason;
-}
-
-void TxnState::NoteWaitTimeout() {
-  std::lock_guard<std::mutex> lk(mu);
-  wait_timeout = true;
-}
-
-bool TxnState::Failed() const {
-  std::lock_guard<std::mutex> lk(mu);
-  return !abort_reason.empty();
-}
-
-std::string TxnState::AbortReason() const {
-  std::lock_guard<std::mutex> lk(mu);
-  return abort_reason;
-}
-
-bool TxnState::WaitTimedOut() const {
-  std::lock_guard<std::mutex> lk(mu);
-  return wait_timeout;
-}
-
 Decision TxnState::BuildDecision() const {
   Decision d;
   for (const TxnPart& p : parts) {

@@ -227,11 +227,13 @@ struct TxnPart {
   uint64_t prepare_seq = 0;   // filled when the prepare batch seals
 };
 
-// The coordinator-side state of one in-flight EXEC. Phase transitions run
-// on the event loop; shard workers fill per-part results and count the
-// per-phase joins down (the last arrival posts one completion back to the
-// loop). Replies and the failure funnel are mutex-guarded — parts touch
-// disjoint reply slots but abort can race delivery.
+// The coordinator-side state of one in-flight EXEC. Every field is written
+// before its phase's parts are submitted, or by the one shard worker that
+// runs a part (its TxnPart and its ops' reply slots), or by the event loop
+// owning conn_id, which counts each phase down as the parts' completions
+// arrive and reads a part's results only after its completion passed the
+// loop's lock. No field is shared between threads at once, so none needs
+// a lock.
 struct TxnState {
   TxnId id = 0;
   uint64_t conn_id = 0;
@@ -243,19 +245,13 @@ struct TxnState {
   std::vector<TxnPart> parts;
 
   enum Phase { kPhasePrepare = 0, kPhaseDecide = 1, kPhaseApply = 2 };
-  std::atomic<int> phase{kPhasePrepare};
-  std::atomic<uint32_t> remaining{0};
+  Phase phase = kPhasePrepare;
+  uint32_t remaining = 0;  // parts of the current phase still out
 
-  mutable std::mutex mu;
   std::vector<std::string> replies;  // per-op RESP fragments (index = reply_index)
   std::string abort_reason;          // first failure wins; empty = healthy
   bool wait_timeout = false;         // WAIT-K deadline passed on some batch
 
-  void Fail(const std::string& reason);
-  void NoteWaitTimeout();
-  bool Failed() const;
-  std::string AbortReason() const;
-  bool WaitTimedOut() const;
   // Decision payload over the write participants (prepare phase complete).
   Decision BuildDecision() const;
 };

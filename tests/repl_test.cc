@@ -952,7 +952,7 @@ TEST_F(ReplE2E, ApplyBatchDecouplesReplicaGroupCommit) {
   primary->Wait();
 }
 
-class WaitE2E : public ::testing::TestWithParam<bool> {
+class WaitE2E : public ::testing::Test {
  protected:
   ServerOptions PrimaryOpts(uint32_t wait_acks, uint32_t timeout_ms) {
     ServerOptions o;
@@ -960,14 +960,12 @@ class WaitE2E : public ::testing::TestWithParam<bool> {
     o.shard = SmallShard();
     o.shard.wait_acks = wait_acks;
     o.shard.wait_timeout_ms = timeout_ms;
-    o.force_poll = GetParam();
     return o;
   }
   ServerOptions ReplicaOpts(uint16_t primary_port) {
     ServerOptions o;
     o.nshards = 2;
     o.shard = SmallShard();
-    o.force_poll = GetParam();
     o.replica_of = "127.0.0.1:" + std::to_string(primary_port);
     return o;
   }
@@ -984,7 +982,7 @@ class WaitE2E : public ::testing::TestWithParam<bool> {
   static std::string Key(int i) { return "wk:" + std::to_string(i); }
 };
 
-TEST_P(WaitE2E, K1AckRoundtripRepliesOkWithoutTimeouts) {
+TEST_F(WaitE2E, K1AckRoundtripRepliesOkWithoutTimeouts) {
   std::string err;
   auto primary = Server::Start(PrimaryOpts(1, /*timeout_ms=*/5000), &err);
   ASSERT_NE(primary, nullptr) << err;
@@ -1018,7 +1016,7 @@ TEST_P(WaitE2E, K1AckRoundtripRepliesOkWithoutTimeouts) {
   primary->Wait();
 }
 
-TEST_P(WaitE2E, SoleReplicaDownDegradesToWaitTimeout) {
+TEST_F(WaitE2E, SoleReplicaDownDegradesToWaitTimeout) {
   std::string err;
   auto primary = Server::Start(PrimaryOpts(1, /*timeout_ms=*/200), &err);
   ASSERT_NE(primary, nullptr) << err;
@@ -1044,7 +1042,67 @@ TEST_P(WaitE2E, SoleReplicaDownDegradesToWaitTimeout) {
   EXPECT_TRUE(primary->shutdown_report().ok);
 }
 
-TEST_P(WaitE2E, ReplicaKilledMidStreamThenNewReplicaRestoresQuorum) {
+TEST_F(WaitE2E, MsetWithoutQuorumAnswersWaitTimeoutAndAppliesEveryPair) {
+  // MSET's join funnels a part's error into its one reply: every pair's
+  // batch seals locally and then misses its ack deadline, so MSET answers
+  // -WAITTIMEOUT (never a local-only +OK) while every pair is applied.
+  std::string err;
+  auto primary = Server::Start(PrimaryOpts(1, /*timeout_ms=*/200), &err);
+  ASSERT_NE(primary, nullptr) << err;
+  auto pc = Client::Connect("127.0.0.1", primary->port(), &err);
+  ASSERT_NE(pc, nullptr) << err;
+
+  std::vector<std::string> mset = {"MSET"};
+  std::set<uint32_t> shards;
+  for (int i = 0; i < 6; ++i) {
+    mset.push_back(Key(i));
+    mset.push_back("v" + std::to_string(i));
+    shards.insert(ShardFor(Key(i), 2));
+  }
+  ASSERT_EQ(shards.size(), 2u);  // parts on both shards
+  RespReply r;
+  ASSERT_TRUE(pc->Roundtrip(mset, &r));
+  ASSERT_EQ(r.type, RespReply::Type::kError) << r.str;
+  EXPECT_EQ(r.str.rfind("WAITTIMEOUT wrote locally durable; replica quorum of "
+                        "1 not reached for seq ",
+                        0),
+            0u)
+      << r.str;
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(pc->Get(Key(i)).value_or("<missing>"), "v" + std::to_string(i));
+  }
+
+  ASSERT_TRUE(pc->Shutdown());
+  primary->Wait();
+  EXPECT_TRUE(primary->shutdown_report().ok);
+}
+
+TEST_F(WaitE2E, MsetOnReplicaAnswersReadonly) {
+  std::string err;
+  auto primary = Server::Start(PrimaryOpts(0, 1000), &err);
+  ASSERT_NE(primary, nullptr) << err;
+  auto replica = Server::Start(ReplicaOpts(primary->port()), &err);
+  ASSERT_NE(replica, nullptr) << err;
+  auto rc = Client::Connect("127.0.0.1", replica->port(), &err);
+  ASSERT_NE(rc, nullptr) << err;
+
+  RespReply r;
+  ASSERT_TRUE(rc->Roundtrip({"MSET", Key(0), "a", Key(1), "b", Key(2), "c"}, &r));
+  ASSERT_EQ(r.type, RespReply::Type::kError) << r.str;
+  EXPECT_EQ(r.str, "READONLY replica - write rejected");
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(rc->Get(Key(i)).has_value()) << Key(i);
+  }
+
+  ASSERT_TRUE(rc->Shutdown());
+  replica->Wait();
+  auto pc = Client::Connect("127.0.0.1", primary->port(), &err);
+  ASSERT_NE(pc, nullptr) << err;
+  ASSERT_TRUE(pc->Shutdown());
+  primary->Wait();
+}
+
+TEST_F(WaitE2E, ReplicaKilledMidStreamThenNewReplicaRestoresQuorum) {
   std::string err;
   auto primary = Server::Start(PrimaryOpts(1, /*timeout_ms=*/200), &err);
   ASSERT_NE(primary, nullptr) << err;
@@ -1104,7 +1162,7 @@ TEST_P(WaitE2E, ReplicaKilledMidStreamThenNewReplicaRestoresQuorum) {
   primary->Wait();
 }
 
-TEST_P(WaitE2E, EveryWaitAckedKeySurvivesPromotion) {
+TEST_F(WaitE2E, EveryWaitAckedKeySurvivesPromotion) {
   std::string err;
   auto primary = Server::Start(PrimaryOpts(1, /*timeout_ms=*/5000), &err);
   ASSERT_NE(primary, nullptr) << err;
@@ -1145,7 +1203,7 @@ TEST_P(WaitE2E, EveryWaitAckedKeySurvivesPromotion) {
   EXPECT_TRUE(replica->shutdown_report().ok);
 }
 
-TEST_P(WaitE2E, PromoteIsAllOrNothingWhenOneShardFailsAudit) {
+TEST_F(WaitE2E, PromoteIsAllOrNothingWhenOneShardFailsAudit) {
   std::string err;
   auto primary = Server::Start(PrimaryOpts(0, 1000), &err);
   ASSERT_NE(primary, nullptr) << err;
@@ -1173,6 +1231,7 @@ TEST_P(WaitE2E, PromoteIsAllOrNothingWhenOneShardFailsAudit) {
   RespReply r;
   ASSERT_TRUE(rc->Roundtrip({"PROMOTE"}, &r));
   ASSERT_EQ(r.type, RespReply::Type::kError) << r.str;
+  EXPECT_EQ(r.str, "ERR promote audit failed on shard 1: injected audit failure");
 
   // ...and no shard may have flipped: writes to keys on BOTH shards are
   // still rejected. (The one-phase bug flipped shard 0 before shard 1's
@@ -1189,11 +1248,6 @@ TEST_P(WaitE2E, PromoteIsAllOrNothingWhenOneShardFailsAudit) {
   ASSERT_TRUE(pc->Shutdown());
   primary->Wait();
 }
-
-INSTANTIATE_TEST_SUITE_P(Pollers, WaitE2E, ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "poll" : "epoll";
-                         });
 
 // ---- Session reads: shard-level parking (MINSEQ gate, DESIGN.md §8) ---------
 // Direct-shard tests drive GateSessionRead/TickReadStale from the test
@@ -1408,10 +1462,9 @@ TEST_F(SessionShard, ApplyStreamFlowsPastParkedReads) {
 }
 
 // ---- Session reads + chained (tree) replication e2e -------------------------
-// Both pollers drive the MINSEQ dispatch, the read-stale tick, and the
-// chained REPLSYNC serving, so the suite is parameterized like WaitE2E.
+// The MINSEQ dispatch, the read-stale tick, and the chained REPLSYNC serving.
 
-class SessionE2E : public ::testing::TestWithParam<bool> {
+class SessionE2E : public ::testing::Test {
  protected:
   static constexpr uint32_t kShards = 2;
 
@@ -1419,7 +1472,6 @@ class SessionE2E : public ::testing::TestWithParam<bool> {
     ServerOptions o;
     o.nshards = kShards;
     o.shard = SmallShard();
-    o.force_poll = GetParam();
     return o;
   }
   ServerOptions FollowerOpts(uint16_t upstream_port) {
@@ -1442,7 +1494,7 @@ class SessionE2E : public ::testing::TestWithParam<bool> {
   }
 };
 
-TEST_P(SessionE2E, ReadYourWritesAcrossConnections) {
+TEST_F(SessionE2E, ReadYourWritesAcrossConnections) {
   std::string err;
   auto primary = Server::Start(Opts(), &err);
   ASSERT_NE(primary, nullptr) << err;
@@ -1489,7 +1541,7 @@ TEST_P(SessionE2E, ReadYourWritesAcrossConnections) {
   primary->Wait();
 }
 
-TEST_P(SessionE2E, StalledReplicaAnswersStaleNeverOldValues) {
+TEST_F(SessionE2E, StalledReplicaAnswersStaleNeverOldValues) {
   std::string err;
   auto primary = Server::Start(Opts(), &err);
   ASSERT_NE(primary, nullptr) << err;
@@ -1538,7 +1590,7 @@ TEST_P(SessionE2E, StalledReplicaAnswersStaleNeverOldValues) {
   primary->Wait();
 }
 
-TEST_P(SessionE2E, ChainedTreeConvergesAndServesSessionReads) {
+TEST_F(SessionE2E, ChainedTreeConvergesAndServesSessionReads) {
   // primary → r1 → r2: r1 serves REPLSYNC downstream from its own log
   // (byte-identical to the primary's sealed prefix), and session tokens
   // taken on the PRIMARY are valid on the leaf — seqs are global.
@@ -1584,11 +1636,10 @@ TEST_P(SessionE2E, ChainedTreeConvergesAndServesSessionReads) {
   primary->Wait();
 }
 
-TEST_P(SessionE2E, MiddleDeathLeafResyncsFromPrimaryWithoutSnapshot) {
+TEST_F(SessionE2E, MiddleDeathLeafResyncsFromPrimaryWithoutSnapshot) {
   const std::string base =
       (std::filesystem::temp_directory_path() /
-       ("jnvm_session_mid_" + std::to_string(::getpid()) +
-        (GetParam() ? "_poll" : "_epoll")))
+       ("jnvm_session_mid_" + std::to_string(::getpid())))
           .string();
   std::string err;
   auto primary = Server::Start(Opts(), &err);
@@ -1655,7 +1706,7 @@ TEST_P(SessionE2E, MiddleDeathLeafResyncsFromPrimaryWithoutSnapshot) {
   }
 }
 
-TEST_P(SessionE2E, MidTreePromoteKeepsAckedKeysReadable) {
+TEST_F(SessionE2E, MidTreePromoteKeepsAckedKeysReadable) {
   std::string err;
   auto primary = Server::Start(Opts(), &err);
   ASSERT_NE(primary, nullptr) << err;
@@ -1717,7 +1768,7 @@ TEST_P(SessionE2E, MidTreePromoteKeepsAckedKeysReadable) {
 // the primary's post-EXEC watermarks (the decision on the coordinator, the
 // commit marker on the other participant), BOTH reads must return the txn's
 // values — never one new and one old, and never a silent stale value.
-TEST_P(SessionE2E, CrossShardTxnAtomicUnderSessionReads) {
+TEST_F(SessionE2E, CrossShardTxnAtomicUnderSessionReads) {
   std::string err;
   auto primary = Server::Start(Opts(), &err);
   ASSERT_NE(primary, nullptr) << err;
@@ -1766,11 +1817,6 @@ TEST_P(SessionE2E, CrossShardTxnAtomicUnderSessionReads) {
   ASSERT_TRUE(pc->Shutdown());
   primary->Wait();
 }
-
-INSTANTIATE_TEST_SUITE_P(Pollers, SessionE2E, ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "poll" : "epoll";
-                         });
 
 TEST(ReplCommands, ArgumentValidation) {
   ServerOptions o;

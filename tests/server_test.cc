@@ -634,10 +634,9 @@ TEST(ConnOutQueue, CompleteMovesStagedReplies) {
 }
 
 // ---- Event-loop readiness (src/server/poller.h) ----------------------------
-// The readiness set every loop blocks in, driven directly on a socketpair,
-// on epoll and on the poll(2) fallback.
+// The epoll set every loop blocks in, driven directly on a socketpair.
 
-class PollerTest : public ::testing::TestWithParam<bool> {
+class PollerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_TRUE(ep_.ok());
@@ -662,11 +661,11 @@ class PollerTest : public ::testing::TestWithParam<bool> {
     return Poller::Event{};
   }
 
-  Poller ep_{GetParam()};
+  Poller ep_;
   int sv_[2] = {-1, -1};
 };
 
-TEST_P(PollerTest, UnconsumedInputIsReportedAgain) {
+TEST_F(PollerTest, UnconsumedInputIsReportedAgain) {
   ep_.Watch(sv_[0], true, false);
   ASSERT_EQ(::write(sv_[1], "x", 1), 1);
   EXPECT_TRUE(WaitFor(sv_[0]).readable);
@@ -676,7 +675,7 @@ TEST_P(PollerTest, UnconsumedInputIsReportedAgain) {
   EXPECT_FALSE(WaitFor(sv_[0], 0).readable);
 }
 
-TEST_P(PollerTest, DroppingReadInterestPausesReadableReports) {
+TEST_F(PollerTest, DroppingReadInterestPausesReadableReports) {
   // PauseReads watches (fd, false, wants_write): buffered input must go
   // quiet while pending output still reports writable.
   ep_.Watch(sv_[0], true, false);
@@ -692,7 +691,7 @@ TEST_P(PollerTest, DroppingReadInterestPausesReadableReports) {
   EXPECT_TRUE(WaitFor(sv_[0]).readable);
 }
 
-TEST_P(PollerTest, ForgetThenCloseProducesNoEvent) {
+TEST_F(PollerTest, ForgetThenCloseProducesNoEvent) {
   ep_.Watch(sv_[0], true, true);
   ASSERT_EQ(::write(sv_[1], "x", 1), 1);
   const int fd = sv_[0];
@@ -712,11 +711,6 @@ TEST_P(PollerTest, ForgetThenCloseProducesNoEvent) {
   ::close(again[0]);
   ::close(again[1]);
 }
-
-INSTANTIATE_TEST_SUITE_P(Pollers, PollerTest, ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "poll" : "epoll";
-                         });
 
 // ---- End-to-end loopback ----------------------------------------------------
 
@@ -1248,58 +1242,53 @@ TEST(MultiLoop, NoLostWakeupAcrossLoopsAndShards) {
   // 100 ms loop tick never drains completions: one lost wake strands a
   // reply for good. 4 shards post batches to 3 loops at once while 8
   // connections keep 64 commands each in flight; a fixed command count
-  // must finish far inside the deadline under every poller.
+  // must finish far inside the deadline.
   constexpr int kConns = 8, kDepth = 64, kRounds = 25;
-  for (const std::string poller : {"epoll", "poll"}) {
-    SCOPED_TRACE(poller);
-    ServerOptions opts = MultiLoopOpts(3);
-    opts.force_poll = poller == "poll";
-    std::string err;
-    auto server = Server::Start(opts, &err);
-    ASSERT_NE(server, nullptr) << err;
+  std::string err;
+  auto server = Server::Start(MultiLoopOpts(3), &err);
+  ASSERT_NE(server, nullptr) << err;
 
-    const uint64_t t0 = NowNs();
-    const uint64_t deadline = t0 + 20'000'000'000ull;
-    std::atomic<int> failures{0};
-    std::vector<std::thread> conns;
-    for (int c = 0; c < kConns; ++c) {
-      conns.emplace_back([&, c] {
-        RawConn raw(server->port());
-        std::vector<RespReply> replies;
-        for (int round = 0; round < kRounds; ++round) {
-          std::string wire;
-          for (int i = 0; i < kDepth; ++i) {
-            const std::string key =
-                "wk:" + std::to_string(c) + ":" + std::to_string(i % 16);
-            wire += i % 4 == 0 ? Frame({"SET", key, std::to_string(round)})
-                               : Frame({"GET", key});
-          }
-          replies.clear();
-          if (!raw.ok() || !raw.Send(wire) ||
-              !raw.ReadReplies(kDepth, deadline, &replies)) {
-            ++failures;  // this round's replies never all arrived
-            return;
-          }
-          for (const RespReply& r : replies) {
-            if (r.type == RespReply::Type::kError) {
-              ++failures;
-            }
+  const uint64_t t0 = NowNs();
+  const uint64_t deadline = t0 + 20'000'000'000ull;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> conns;
+  for (int c = 0; c < kConns; ++c) {
+    conns.emplace_back([&, c] {
+      RawConn raw(server->port());
+      std::vector<RespReply> replies;
+      for (int round = 0; round < kRounds; ++round) {
+        std::string wire;
+        for (int i = 0; i < kDepth; ++i) {
+          const std::string key =
+              "wk:" + std::to_string(c) + ":" + std::to_string(i % 16);
+          wire += i % 4 == 0 ? Frame({"SET", key, std::to_string(round)})
+                             : Frame({"GET", key});
+        }
+        replies.clear();
+        if (!raw.ok() || !raw.Send(wire) ||
+            !raw.ReadReplies(kDepth, deadline, &replies)) {
+          ++failures;  // this round's replies never all arrived
+          return;
+        }
+        for (const RespReply& r : replies) {
+          if (r.type == RespReply::Type::kError) {
+            ++failures;
           }
         }
-      });
-    }
-    for (auto& t : conns) {
-      t.join();
-    }
-    EXPECT_EQ(failures.load(), 0) << "a reply never arrived (lost wakeup?)";
-    EXPECT_LT(NowNs(), deadline);
-
-    auto c = Client::Connect("127.0.0.1", server->port(), &err);
-    ASSERT_NE(c, nullptr) << err;
-    EXPECT_TRUE(c->Shutdown());
-    server->Wait();
-    EXPECT_TRUE(server->shutdown_report().ok);
+      }
+    });
   }
+  for (auto& t : conns) {
+    t.join();
+  }
+  EXPECT_EQ(failures.load(), 0) << "a reply never arrived (lost wakeup?)";
+  EXPECT_LT(NowNs(), deadline);
+
+  auto c = Client::Connect("127.0.0.1", server->port(), &err);
+  ASSERT_NE(c, nullptr) << err;
+  EXPECT_TRUE(c->Shutdown());
+  server->Wait();
+  EXPECT_TRUE(server->shutdown_report().ok);
 }
 
 // ---- Backpressure and per-connection resource caps --------------------------
@@ -1577,6 +1566,70 @@ TEST_P(HardeningE2E, ClosedConnStalledExecStillDecides) {
   EXPECT_TRUE(good->Shutdown());
   server->Wait();
   EXPECT_TRUE(server->shutdown_report().ok);
+}
+
+TEST_P(HardeningE2E, ClosedConnStalledPromoteStillFlips) {
+  // PROMOTE stops the replica's pull before its shards audit, so a PROMOTE
+  // that never joins leaves a read-only node that follows no one. Its
+  // client resets while the kPromote parts wait in the stall queue behind
+  // a burst of GETs on 4-slot shard queues: every part must still count
+  // the join down, and the join must flip every shard.
+  ServerOptions popts;
+  popts.nshards = 2;
+  popts.shard = SmallShard(/*batch=*/2);
+  ApplyIo(&popts);
+  std::string err;
+  auto primary = Server::Start(popts, &err);
+  ASSERT_NE(primary, nullptr) << err;
+  ServerOptions ropts = popts;
+  ropts.shard.queue_capacity = 4;
+  ropts.replica_of = "127.0.0.1:" + std::to_string(primary->port());
+  auto replica = Server::Start(ropts, &err);
+  ASSERT_NE(replica, nullptr) << err;
+
+  // One write well under the loop's 64 KiB read: one parse pass dispatches
+  // PROMOTE after the GET runs filled the queues and stalled.
+  constexpr int kGets = 2000;
+  std::string wire;
+  for (int i = 0; i < kGets; ++i) {
+    wire += Frame({"GET", "pk:" + std::to_string(i)});
+  }
+  wire += Frame({"PROMOTE"});
+  ASSERT_LT(wire.size(), 65536u);
+  RawConn conn(replica->port());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn.Send(wire));
+  // Ten GETs answered: PROMOTE is dispatched, most of the burst stalled.
+  std::vector<RespReply> replies;
+  ASSERT_TRUE(
+      conn.ReadReplies(10, NowNs() + 30'000'000'000ull, &replies));
+  conn.Reset();
+
+  auto good = Client::Connect("127.0.0.1", replica->port(), &err);
+  ASSERT_NE(good, nullptr) << err;
+  const auto primaries = [](const std::string& stats) {
+    size_t n = 0;
+    for (size_t at = stats.find("role=primary"); at != std::string::npos;
+         at = stats.find("role=primary", at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  const uint64_t deadline = NowNs() + 10'000'000'000ull;
+  std::string stats;
+  while (primaries(stats = good->Stats().value_or("")) < 2 &&
+         NowNs() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(primaries(stats), 2u) << stats;
+  EXPECT_TRUE(good->Set("pk:after", "v")) << good->last_error();
+
+  EXPECT_TRUE(good->Shutdown());
+  replica->Wait();
+  auto pc = Client::Connect("127.0.0.1", primary->port(), &err);
+  ASSERT_NE(pc, nullptr) << err;
+  EXPECT_TRUE(pc->Shutdown());
+  primary->Wait();
 }
 
 TEST_P(HardeningE2E, InputBufferCapDisconnectsAndCounts) {

@@ -90,15 +90,14 @@ bool WaitTxnSettled(Client& c, int timeout_ms = 5000) {
   return false;
 }
 
-// ---- Wire-level E2E (both pollers) -----------------------------------------
+// ---- Wire-level E2E -----------------------------------------------------------
 
-class TxnE2E : public ::testing::TestWithParam<bool> {
+class TxnE2E : public ::testing::Test {
  protected:
   ServerOptions Opts(uint32_t nshards = 4) {
     ServerOptions o;
     o.nshards = nshards;
     o.shard = SmallShard();
-    o.force_poll = GetParam();
     return o;
   }
 
@@ -122,7 +121,7 @@ class TxnE2E : public ::testing::TestWithParam<bool> {
   std::unique_ptr<Client> client_;
 };
 
-TEST_P(TxnE2E, SingleShardExecAppliesAndSkipsDecisionRecord) {
+TEST_F(TxnE2E, SingleShardExecAppliesAndSkipsDecisionRecord) {
   Start();
   const std::string a = KeyOnShard(0, 4, 1);
   const std::string b = KeyOnShard(0, 4, 2);
@@ -152,7 +151,7 @@ TEST_P(TxnE2E, SingleShardExecAppliesAndSkipsDecisionRecord) {
   EXPECT_EQ(t["decision_records"], 0u);
 }
 
-TEST_P(TxnE2E, CrossShardExecAppliesAtomicallyWithOneDecision) {
+TEST_F(TxnE2E, CrossShardExecAppliesAtomicallyWithOneDecision) {
   Start();
   const std::string k0 = KeyOnShard(0, 4, 3);
   const std::string k1 = KeyOnShard(1, 4, 4);
@@ -181,7 +180,7 @@ TEST_P(TxnE2E, CrossShardExecAppliesAtomicallyWithOneDecision) {
   EXPECT_EQ(t["aborted"], 0u);
 }
 
-TEST_P(TxnE2E, CrossShardReadsSeeStagedWritesAndPreTxnState) {
+TEST_F(TxnE2E, CrossShardReadsSeeStagedWritesAndPreTxnState) {
   Start();
   const std::string a = KeyOnShard(0, 4, 6);
   const std::string b = KeyOnShard(1, 4, 7);
@@ -205,7 +204,7 @@ TEST_P(TxnE2E, CrossShardReadsSeeStagedWritesAndPreTxnState) {
   EXPECT_FALSE(client_->Get(b).has_value());
 }
 
-TEST_P(TxnE2E, NestedMultiRejectedWithoutDirtyingTxn) {
+TEST_F(TxnE2E, NestedMultiRejectedWithoutDirtyingTxn) {
   Start();
   ASSERT_TRUE(client_->Multi());
   RespReply r;
@@ -222,7 +221,7 @@ TEST_P(TxnE2E, NestedMultiRejectedWithoutDirtyingTxn) {
   EXPECT_EQ(client_->Get(k).value_or(""), "v");
 }
 
-TEST_P(TxnE2E, ExecAndDiscardWithoutMultiRejected) {
+TEST_F(TxnE2E, ExecAndDiscardWithoutMultiRejected) {
   Start();
   RespReply r;
   ASSERT_TRUE(client_->Roundtrip({"EXEC"}, &r));
@@ -233,7 +232,7 @@ TEST_P(TxnE2E, ExecAndDiscardWithoutMultiRejected) {
   EXPECT_NE(r.str.find("DISCARD without MULTI"), std::string::npos) << r.str;
 }
 
-TEST_P(TxnE2E, DiscardDropsQueuedOps) {
+TEST_F(TxnE2E, DiscardDropsQueuedOps) {
   Start();
   const std::string k = KeyOnShard(0, 4, 9);
   ASSERT_TRUE(client_->Multi());
@@ -246,7 +245,7 @@ TEST_P(TxnE2E, DiscardDropsQueuedOps) {
   EXPECT_EQ(r.type, RespReply::Type::kError);
 }
 
-TEST_P(TxnE2E, EmptyExecReturnsEmptyArray) {
+TEST_F(TxnE2E, EmptyExecReturnsEmptyArray) {
   Start();
   ASSERT_TRUE(client_->Multi());
   std::vector<RespReply> replies;
@@ -258,7 +257,7 @@ TEST_P(TxnE2E, EmptyExecReturnsEmptyArray) {
   EXPECT_EQ(t["committed"], 0u);
 }
 
-TEST_P(TxnE2E, InvalidQueuedCommandAbortsExecExplicitly) {
+TEST_F(TxnE2E, InvalidQueuedCommandAbortsExecExplicitly) {
   Start();
   const std::string k0 = KeyOnShard(0, 4, 10);
   const std::string k1 = KeyOnShard(1, 4, 11);
@@ -283,7 +282,7 @@ TEST_P(TxnE2E, InvalidQueuedCommandAbortsExecExplicitly) {
   EXPECT_EQ(t["decision_records"], 0u);
 }
 
-TEST_P(TxnE2E, ReadOnlyCrossShardTxnSealsNoRecords) {
+TEST_F(TxnE2E, ReadOnlyCrossShardTxnSealsNoRecords) {
   Start();
   const std::string a = KeyOnShard(0, 4, 12);
   const std::string b = KeyOnShard(1, 4, 13);
@@ -305,11 +304,10 @@ TEST_P(TxnE2E, ReadOnlyCrossShardTxnSealsNoRecords) {
   EXPECT_EQ(t["decision_records"], 0u);
 }
 
-TEST_P(TxnE2E, ServerRestartPreservesCommittedCrossShardTxn) {
+TEST_F(TxnE2E, ServerRestartPreservesCommittedCrossShardTxn) {
   const std::string base =
       (std::filesystem::temp_directory_path() /
-       ("jnvm_txn_restart_" + std::to_string(::getpid()) +
-        (GetParam() ? "_poll" : "_epoll")))
+       ("jnvm_txn_restart_" + std::to_string(::getpid())))
           .string();
   ServerOptions opts = Opts(2);
   opts.shard.image_base = base;
@@ -354,11 +352,6 @@ TEST_P(TxnE2E, ServerRestartPreservesCommittedCrossShardTxn) {
     std::filesystem::remove(base + ".shard" + std::to_string(i) + ".img");
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Pollers, TxnE2E, ::testing::Values(false, true),
-                         [](const auto& info) {
-                           return info.param ? "poll" : "epoll";
-                         });
 
 // ---- WAIT-K on the decision record ------------------------------------------
 
@@ -470,7 +463,6 @@ std::shared_ptr<txn::TxnState> MakeTxn(txn::TxnId id, uint32_t coordinator,
   op.reply_index = 0;
   p.ops.push_back(std::move(op));
   t->parts.push_back(std::move(p));
-  t->remaining.store(1, std::memory_order_release);
   return t;
 }
 
@@ -605,7 +597,6 @@ TEST_F(TxnRecovery, PrepareWithSealedDecisionCommitsOnReopen) {
     EXPECT_EQ(d.parts[0].shard, 1u);
     std::string payload;
     txn::EncodeDecision(d, &payload);
-    t->remaining.store(1, std::memory_order_release);
     Request dec;
     dec.op = Request::Op::kTxnDecide;
     dec.txn = t;
