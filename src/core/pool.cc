@@ -149,15 +149,11 @@ void PoolManager::RebuildFromLiveSlots(
   // The caller (core recovery) fences once at the end of the procedure.
 }
 
-void PoolManager::RebuildByScan(const std::function<bool(uint16_t)>& is_pool_class) {
+void PoolManager::RebuildFromScan(
+    const std::vector<std::pair<Offset, uint16_t>>& pool_masters) {
   std::lock_guard<std::mutex> lk(mu_);
   lists_.clear();
-  const Offset end = heap_->bump();
-  for (Offset block = heap_->first_block(); block < end; block += heap_->block_size()) {
-    const heap::BlockHeader h = heap_->ReadHeader(block);
-    if (!h.IsMaster() || !h.valid || !is_pool_class(h.id)) {
-      continue;
-    }
+  for (const auto& [block, class_id] : pool_masters) {
     const uint16_t slot_size =
         heap_->dev().Read<uint16_t>(heap_->PayloadOf(block) + kMetaSlotSizeOff);
     const uint32_t nslots = NumSlots(heap_->payload_per_block(), slot_size);
@@ -173,7 +169,7 @@ void PoolManager::RebuildByScan(const std::function<bool(uint16_t)>& is_pool_cla
       heap_->FreeObject(block);
       continue;
     }
-    PushBlockSlots(block, slot_size, &lists_[{h.id, slot_size}], &occupied);
+    PushBlockSlots(block, slot_size, &lists_[{class_id, slot_size}], &occupied);
   }
 }
 

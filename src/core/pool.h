@@ -22,10 +22,10 @@
 #define JNVM_SRC_CORE_POOL_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/heap/heap.h"
@@ -66,9 +66,10 @@ class PoolManager {
   void RebuildFromLiveSlots(
       const std::unordered_map<Offset, std::vector<Offset>>& live_by_block);
 
-  // Block-scan recovery: walks all valid masters of pool classes and trusts
-  // their occupancy hints. Fully-empty pool blocks are freed.
-  void RebuildByScan(const std::function<bool(uint16_t)>& is_pool_class);
+  // Block-scan recovery: `pool_masters` holds every valid pool master the
+  // heap's scan found, with its class id, in block order. Their occupancy
+  // hints are trusted. Fully-empty pool blocks are freed.
+  void RebuildFromScan(const std::vector<std::pair<Offset, uint16_t>>& pool_masters);
 
   struct PoolStats {
     uint64_t slots_allocated = 0;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -17,7 +18,9 @@ namespace {
 // The collection pass (§4.1.3): a worklist traversal of the live object
 // graph starting from the root map. Complexity is linear in the number of
 // live objects — which is why it runs at recovery and never at runtime
-// (§2.2.1).
+// (§2.2.1). A k-block object costs k + 1 header reads: one where VisitRef
+// vets the reference, then one per block when its chain is collected; the
+// mark, the class id and the view all come from that one chain.
 class GraphWalker : public RefVisitor {
  public:
   GraphWalker(JnvmRuntime* rt, heap::LiveBitmap* bitmap)
@@ -33,17 +36,20 @@ class GraphWalker : public RefVisitor {
       if (bitmap_->IsMarked(heap_->BlockIndex(master))) {
         continue;  // already traced via another path
       }
-      heap_->MarkChainLive(master, bitmap_);
+      std::vector<nvm::Offset> chain;
+      const uint16_t class_id = heap_->CollectBlocks(master, &chain).id;
+      for (const nvm::Offset b : chain) {
+        bitmap_->Mark(heap_->BlockIndex(b));
+      }
       ++traversed_;
 
-      const uint16_t class_id = heap_->ClassIdOf(master);
       const ClassInfo* info = rt_->ClassInfoForId(class_id);
       JNVM_CHECK_MSG(info != nullptr,
                      ("live object of unregistered class id " +
                       std::to_string(class_id) + " ('" +
                       heap_->ClassName(class_id) + "')")
                          .c_str());
-      ObjectView view(heap_, master);
+      ObjectView view(heap_, std::move(chain));
       if (info->trace) {
         info->trace(view, *this);
       }
@@ -160,6 +166,7 @@ RecoveryReport RecoverGraph(JnvmRuntime& rt) {
   RecoveryReport report;
   report.graph = true;
   Heap& heap = rt.heap();
+  const uint64_t reads_before = heap.dev().stats().reads;
 
   // Step 1: redo logs first (§4.2 "After a failure, J-NVM first handles the
   // per-thread logs of failure-atomic blocks, then it executes the recovery
@@ -179,6 +186,7 @@ RecoveryReport RecoverGraph(JnvmRuntime& rt) {
 
   // Step 4: sweep + the single terminal pfence (§4.1.3).
   report.sweep = heap.SweepUnmarked(bitmap);
+  report.device_reads = heap.dev().stats().reads - reads_before;
   report.seconds = sw.ElapsedSec();
   return report;
 }
@@ -188,13 +196,20 @@ RecoveryReport RecoverBlockScan(JnvmRuntime& rt) {
   RecoveryReport report;
   report.graph = false;
   Heap& heap = rt.heap();
+  const uint64_t reads_before = heap.dev().stats().reads;
 
   report.replay = pfa::ReplayAllLogs(&heap, RecoveryHooks(rt));
-  report.sweep = heap.RecoverBlockScan();
-  rt.pools().RebuildByScan([&rt](uint16_t id) {
+  // The scan hands over the pool masters it meets, so the pool allocators
+  // rebuild without reading every header a second time.
+  std::vector<std::pair<nvm::Offset, uint16_t>> pool_masters;
+  report.sweep = heap.RecoverBlockScan([&](nvm::Offset master, uint16_t id) {
     const ClassInfo* info = rt.ClassInfoForId(id);
-    return info != nullptr && info->is_pool;
+    if (info != nullptr && info->is_pool) {
+      pool_masters.emplace_back(master, id);
+    }
   });
+  rt.pools().RebuildFromScan(pool_masters);
+  report.device_reads = heap.dev().stats().reads - reads_before;
   report.seconds = sw.ElapsedSec();
   return report;
 }

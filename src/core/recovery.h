@@ -31,6 +31,8 @@ struct RecoveryReport {
   uint64_t traversed_objects = 0;
   uint64_t live_pool_slots = 0;
   uint64_t nullified_refs = 0;
+  // Device reads the whole procedure issued, log replay and sweep included.
+  uint64_t device_reads = 0;
   double seconds = 0.0;
 };
 

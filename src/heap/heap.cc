@@ -12,6 +12,22 @@ namespace {
 
 uint64_t AlignUp(uint64_t v, uint64_t align) { return (v + align - 1) / align * align; }
 
+// Calls `visit(block)` for `master` and each block after it, reading the
+// header of every block but the master, whose header `h` the caller already
+// read. Aborts on a chain longer than the device ("block chain cycle").
+template <typename Visit>
+void ForEachChainBlock(const Heap& heap, Offset master, BlockHeader h, Visit&& visit) {
+  const uint64_t limit = heap.BlockIndex(heap.dev().size()) + 1;
+  uint64_t guard = 1;
+  visit(master);
+  for (uint64_t next = h.next; next != 0;) {
+    JNVM_CHECK_MSG(++guard <= limit, "block chain cycle");
+    const Offset block = heap.BlockOffset(next);
+    visit(block);
+    next = heap.ReadHeader(block).next;
+  }
+}
+
 }  // namespace
 
 std::unique_ptr<Heap> Heap::Format(nvm::PmemDevice* dev, const HeapOptions& opts) {
@@ -204,16 +220,10 @@ Offset Heap::AllocObject(uint16_t class_id, size_t payload_bytes, bool zero,
   return master;
 }
 
-void Heap::CollectBlocks(Offset master, std::vector<Offset>* out) const {
-  const uint64_t limit = BlockIndex(dev_->size()) + 1;
-  Offset block = master;
-  uint64_t guard = 0;
-  while (block != 0) {
-    JNVM_CHECK_MSG(++guard <= limit, "block chain cycle");
-    out->push_back(block);
-    const uint64_t next_index = ReadHeader(block).next;
-    block = next_index == 0 ? 0 : BlockOffset(next_index);
-  }
+BlockHeader Heap::CollectBlocks(Offset master, std::vector<Offset>* out) const {
+  const BlockHeader h = ReadHeader(master);
+  ForEachChainBlock(*this, master, h, [out](Offset b) { out->push_back(b); });
+  return h;
 }
 
 size_t Heap::ChainLength(Offset master) const {
@@ -256,14 +266,6 @@ uint64_t Heap::NumAllocatedBlocks() const {
   return (bump_.load(std::memory_order_relaxed) - first_block_) / block_size_;
 }
 
-void Heap::MarkChainLive(Offset master, LiveBitmap* bitmap) const {
-  std::vector<Offset> blocks;
-  CollectBlocks(master, &blocks);
-  for (const Offset b : blocks) {
-    bitmap->Mark(BlockIndex(b));
-  }
-}
-
 Heap::RecoveryStats Heap::SweepUnmarked(const LiveBitmap& bitmap) {
   Stopwatch sw;
   RecoveryStats stats;
@@ -291,14 +293,19 @@ Heap::RecoveryStats Heap::SweepUnmarked(const LiveBitmap& bitmap) {
   return stats;
 }
 
-Heap::RecoveryStats Heap::RecoverBlockScan() {
+Heap::RecoveryStats Heap::RecoverBlockScan(
+    const std::function<void(Offset master, uint16_t class_id)>& on_master) {
   Stopwatch sw;
   LiveBitmap bitmap = NewBitmap();
   const Offset end = bump_.load(std::memory_order_relaxed);
   for (Offset b = first_block_; b < end; b += block_size_) {
     const BlockHeader h = ReadHeader(b);
-    if (h.IsMaster() && h.valid) {
-      MarkChainLive(b, &bitmap);
+    if (!h.IsMaster() || !h.valid) {
+      continue;
+    }
+    ForEachChainBlock(*this, b, h, [&](Offset block) { bitmap.Mark(BlockIndex(block)); });
+    if (on_master) {
+      on_master(b, h.id);
     }
   }
   RecoveryStats stats = SweepUnmarked(bitmap);

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -125,8 +126,9 @@ class Heap {
   Offset AllocObject(uint16_t class_id, size_t payload_bytes, bool zero = true,
                      std::vector<Offset>* chain = nullptr);
 
-  // Appends the chain blocks of `master` (master first) to `out`.
-  void CollectBlocks(Offset master, std::vector<Offset>* out) const;
+  // Appends the chain blocks of `master` (master first) to `out` and returns
+  // the master's header: one header read per block.
+  BlockHeader CollectBlocks(Offset master, std::vector<Offset>* out) const;
   size_t ChainLength(Offset master) const;
 
   // JNVM.free (§4.1.5): invalidate the master, push all blocks to the
@@ -205,13 +207,15 @@ class Heap {
   // valid masters are live, everything else is freed. No object-graph
   // traversal, so invalid-but-reachable references are NOT nullified; only
   // safe when the application cannot create them (e.g. it always allocates
-  // and publishes inside the same failure-atomic block).
-  RecoveryStats RecoverBlockScan();
+  // and publishes inside the same failure-atomic block). Each block header
+  // is read once: a valid master's chain is followed from the header the
+  // pass already holds. `on_master`, when given, sees every valid master
+  // with its class id, in block order, before the sweep.
+  RecoveryStats RecoverBlockScan(
+      const std::function<void(Offset master, uint16_t class_id)>& on_master = nullptr);
 
   // Helpers for the full graph recovery implemented in src/core:
   LiveBitmap NewBitmap() const { return LiveBitmap(BlockIndex(dev_->size()) + 1); }
-  // Marks all blocks of `master`'s chain live.
-  void MarkChainLive(Offset master, LiveBitmap* bitmap) const;
   // Frees every allocated block not marked live: zeroes its header word
   // (clearing the valid bit, §4.1.3), queues it, then issues one fence.
   RecoveryStats SweepUnmarked(const LiveBitmap& bitmap);

@@ -73,7 +73,11 @@ class FaContext {
 };
 
 // Hands out one FaContext per thread, backed by one persistent log slot
-// each. Thread bindings are cached in thread-local storage.
+// each. Thread bindings are cached in thread-local storage. An exited
+// thread's context dies with it, but its log slot is never reused, so over
+// its life a runtime can serve at most log_slot_count (24 by default)
+// distinct threads that run failure-atomic blocks. A server shard uses at
+// most two: the thread that opened it and its worker.
 class FaManager {
  public:
   FaManager(Heap* heap, FaHooks hooks);

@@ -14,7 +14,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <map>
+#include <thread>
 
 #include "src/common/check.h"
 #include "src/common/clock.h"
@@ -276,17 +278,47 @@ std::unique_ptr<Server> Server::Start(const ServerOptions& opts,
       return nullptr;
     }
   }
+  // Every shard recovers on its own thread; nothing below runs until all
+  // have joined. What the openers share is safe to share:
+  //  - class registration uses static locals and the registry mutex
+  //    (src/core/registry.cc);
+  //  - an opener creates a FaContext (src/pfa/fa_context.cc) when it runs
+  //    the root-map Put on a fresh heap or a txn apply in RedoLogTail. Its
+  //    log is erased when the block commits, and the context dies with the
+  //    thread; the shard's worker takes its own log slot;
+  //  - the free queue's per-thread id (src/heap/free_queue.cc) only picks a
+  //    home stack.
+  // The lowest-numbered failure is reported (or its exception rethrown), as
+  // a sequential open would. Returning destroys the shards that did open,
+  // which joins their workers.
+  std::vector<std::unique_ptr<Shard>> opened(opts.nshards);
+  std::vector<std::string> errs(opts.nshards);
+  std::vector<std::exception_ptr> thrown(opts.nshards);
+  {
+    std::vector<std::jthread> openers;  // joined at the end of this scope
+    openers.reserve(opts.nshards);
+    for (uint32_t i = 0; i < opts.nshards; ++i) {
+      openers.emplace_back([&s, &opened, &errs, &thrown, i] {
+        try {
+          opened[i] = Shard::Open(s->opts_.shard, i, s.get(), &errs[i]);
+        } catch (...) {
+          thrown[i] = std::current_exception();
+        }
+      });
+    }
+  }
   for (uint32_t i = 0; i < opts.nshards; ++i) {
-    std::string shard_err;
-    auto shard = Shard::Open(s->opts_.shard, i, s.get(), &shard_err);
-    if (shard == nullptr) {
+    if (thrown[i] != nullptr) {
+      std::rethrow_exception(thrown[i]);
+    }
+    if (opened[i] == nullptr) {
       if (error != nullptr) {
-        *error = shard_err;
+        *error = errs[i];
       }
       return nullptr;
     }
-    s->shards_.push_back(std::move(shard));
   }
+  s->shards_ = std::move(opened);
   if (s->cluster_ != nullptr) {
     std::vector<Shard*> raw;
     raw.reserve(s->shards_.size());
@@ -1873,23 +1905,23 @@ void Server::ResolveCrossShardTxns(Loop& lp) {
 }
 
 void Server::DrainCompletions(Loop& lp) {
-  std::vector<Completion> batch;
+  // `drained` is empty here and keeps its capacity; the swap hands it to
+  // the shards as the next `completions`.
   {
     std::lock_guard<std::mutex> lk(lp.mu);
-    batch.swap(lp.completions);
+    lp.drained.swap(lp.completions);
   }
   // Flushes are deferred to the end of the round: every completion a
   // connection receives in this drain lands in its chunk queue first, then
   // one writev ships them all — N sealed batches fanning out to a
   // subscriber cost one syscall, not N.
-  std::vector<uint64_t> dirty;
-  const auto mark_dirty = [&dirty](Conn& conn) {
+  const auto mark_dirty = [&lp](Conn& conn) {
     if (!conn.flush_pending) {
       conn.flush_pending = true;
-      dirty.push_back(conn.id);
+      lp.dirty.push_back(conn.id);
     }
   };
-  for (Completion& c : batch) {
+  for (Completion& c : lp.drained) {
     if (c.multi != nullptr || c.txn != nullptr) {
       // A join part counts down regardless of client liveness: a txn's
       // decision and commit markers must still seal, and a PROMOTE flip,
@@ -1926,8 +1958,12 @@ void Server::DrainCompletions(Loop& lp) {
       }
     }
   }
-  FlushDirty(lp, dirty);
+  lp.drained.clear();
+  FlushDirty(lp, lp.dirty);
+  lp.dirty.clear();
   // Completions mean shard queues drained: stalled submissions may fit now.
+  // Both buffers are empty again before RetryStalled, whose ProcessInput
+  // can reach DoShutdown's own drain.
   RetryStalled(lp);
   RetryPending(lp);
 }

@@ -297,6 +297,11 @@ class Server : public CompletionSink {
     std::mutex mu;  // guards completions + fd_inbox (the cross-thread doors)
     std::vector<Completion> completions;
     std::vector<int> fd_inbox;  // accepted fds handed off by loop 0
+    // DrainCompletions' buffers (loop thread only), kept so their capacity
+    // survives across drains: `drained` trades places with `completions`,
+    // `dirty` lists the connections to flush.
+    std::vector<Completion> drained;
+    std::vector<uint64_t> dirty;
     // True from the post that wrote a wake byte until the loop drained the
     // pipe (PostWake): later posts skip the write syscall.
     std::atomic<bool> wake_pending{false};

@@ -1439,12 +1439,12 @@ void Shard::ExecutePromote(std::string* reply) {
 }
 
 void Shard::DeliverBatch(std::vector<Request>& batch,
-                         std::vector<std::string>& replies) {
+                         std::vector<std::string>& replies,
+                         std::vector<Completion>& out) {
   // Runs after the batch's durability point: replies may now leave the
   // machine, and a join part's completion reaches its loop only now, so a
   // joined reply implies every part is durable on its own shard. The
   // batch's completions leave together, in one OnCompletions post.
-  std::vector<Completion> out;
   out.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     Request& req = batch[i];
@@ -1471,6 +1471,7 @@ void Shard::DeliverBatch(std::vector<Request>& batch,
   }
   if (!out.empty()) {
     sink_->OnCompletions(out);
+    out.clear();
   }
 }
 
@@ -1563,7 +1564,10 @@ void Shard::DeliverParked(ParkedBatch&& p, bool timed_out) {
       }
     }
   }
-  DeliverBatch(p.reqs, p.replies);
+  // Event loops release parked batches too (acks, ticks), so this one
+  // cannot borrow the worker's buffer.
+  std::vector<Completion> out;
+  DeliverBatch(p.reqs, p.replies, out);
 }
 
 // ---- Session-read parking ---------------------------------------------------
@@ -1871,7 +1875,7 @@ void Shard::RunBatch(std::vector<Request>& batch) {
     // batch — parking is pipelined, not stop-and-wait.
     ParkBatch(log_last, batch, replies_, wrote_flags_);
   } else {
-    DeliverBatch(batch, replies_);
+    DeliverBatch(batch, replies_, completions_);
   }
   if (appended) {
     // Follower role: tell the local ReplClient the apply batch is sealed

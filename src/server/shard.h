@@ -597,8 +597,10 @@ class Shard {
   // TrySubmitMany.
   SubmitResult PushRun(Request* reqs, size_t n, size_t* taken);
   // Signals the batch's waiters and posts its completions, one per request
-  // that has a connection or a join, through one OnCompletions call.
-  void DeliverBatch(std::vector<Request>& batch, std::vector<std::string>& replies);
+  // that has a connection or a join, through one OnCompletions call. `out`
+  // is the caller's scratch; it is left empty.
+  void DeliverBatch(std::vector<Request>& batch, std::vector<std::string>& replies,
+                    std::vector<Completion>& out);
   void StreamToSubscribers(uint64_t first_seq, uint64_t last_seq);
   void RedoLogTail(uint64_t replay_from, txn::LogScanResult* scan);
   void PublishReplStats();
@@ -776,6 +778,7 @@ class Shard {
   std::vector<std::string> replies_;
   std::vector<uint8_t> wrote_flags_;
   std::vector<repl::ReplOp> rops_;
+  std::vector<Completion> completions_;
   std::thread worker_;
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> max_batch_{0};

@@ -3,6 +3,7 @@
 // including crash-property tests on the strict device.
 #include <gtest/gtest.h>
 
+#include "src/core/ref_array.h"
 #include "src/core/root_map.h"
 #include "src/core/runtime.h"
 
@@ -389,6 +390,80 @@ TEST(RecoveryTest, FreedBlocksReusableAfterRecovery) {
     Simple s(*f.rt, i);  // must reuse swept blocks
   }
   EXPECT_EQ(f.rt->heap().bump(), bump_before);
+}
+
+// ---- Recovery's device reads ---------------------------------------------------
+//
+// A heap with no garbage: kLeaves 7-block BigArrays referenced from a
+// PRefArray of capacity kCells, bound in the root map. Each recovery reads a
+// k-block leaf's headers once. What does not grow with the leaves stays
+// under kFixedReads: 2 reads per empty log slot (48), and the root map with
+// its 64-cell array, its one entry and the leaves array's own chain. The
+// graph walk reads 134 such, the block scan 58.
+
+constexpr uint64_t kLeaves = 200;
+constexpr uint64_t kCells = 256;
+constexpr uint64_t kFixedReads = 160;
+
+uint64_t BuildLeafHeap(Fixture& f) {
+  PRefArray arr(*f.rt, kCells);
+  uint64_t k = 0;
+  for (uint64_t i = 0; i < kLeaves; ++i) {
+    BigArray leaf(*f.rt);
+    leaf.Set(0, i);
+    leaf.Pwb();
+    leaf.Validate();
+    arr.SetRaw(i, leaf.addr());
+    k = f.rt->heap().ChainLength(leaf.addr());
+  }
+  arr.Pwb();
+  arr.Validate();
+  f.rt->root().Wput("leaves", &arr);  // no failure-atomic copy to sweep
+  f.rt->Psync();
+  return k;
+}
+
+void ExpectLeavesRecovered(Fixture& f) {
+  const auto arr = f.rt->root().GetAs<PRefArray>("leaves");
+  ASSERT_NE(arr, nullptr);
+  for (uint64_t i = 0; i < kLeaves; ++i) {
+    const auto leaf = std::static_pointer_cast<BigArray>(arr->Get(i));
+    ASSERT_NE(leaf, nullptr) << i;
+    EXPECT_EQ(leaf->Get(0), i);
+  }
+}
+
+TEST(RecoveryReadsTest, GraphWalkReadsEachLeafHeaderOnce) {
+  Fixture f;
+  const uint64_t k = BuildLeafHeap(f);
+  ASSERT_EQ(k, 7u);
+  f.CleanReopen();
+  const RecoveryReport& rep = f.rt->recovery_report();
+  // The leaves, the root map, its array, its entry and the leaves array.
+  EXPECT_EQ(rep.traversed_objects, kLeaves + 4);
+  EXPECT_EQ(rep.sweep.freed_blocks, 0u);
+  // One read per cell, then k + 1 per leaf: VisitRef's header check and
+  // one per block of the chain.
+  EXPECT_LE(rep.device_reads, kCells + kLeaves * (k + 1) + kFixedReads)
+      << rep.device_reads;
+  ExpectLeavesRecovered(f);
+}
+
+TEST(RecoveryReadsTest, BlockScanReadsEachHeaderOnce) {
+  Fixture f;
+  const uint64_t k = BuildLeafHeap(f);
+  ASSERT_EQ(k, 7u);
+  f.rt.reset();
+  RuntimeOptions opts;
+  opts.graph_recovery = false;
+  f.rt = JnvmRuntime::Open(f.dev.get(), opts);
+  const RecoveryReport& rep = f.rt->recovery_report();
+  EXPECT_EQ(rep.sweep.freed_blocks, 0u);
+  // One read per scanned block, then k - 1 per leaf to follow its slaves.
+  EXPECT_LE(rep.device_reads,
+            rep.sweep.scanned_blocks + kLeaves * (k - 1) + kFixedReads)
+      << rep.device_reads << " reads, " << rep.sweep.scanned_blocks << " blocks";
+  ExpectLeavesRecovered(f);
 }
 
 // ---- Figure 5: batched validation under a single fence -------------------------

@@ -10,7 +10,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -388,6 +390,84 @@ TEST(KvMapLayout, ShardRefusesThePreviousStoreLayout) {
   EXPECT_EQ(Server::Start(so, &err), nullptr);
   EXPECT_NE(err.find("server.store"), std::string::npos) << err;
   std::filesystem::remove(image);
+}
+
+size_t ThreadCount() {
+  return static_cast<size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator()));
+}
+
+// The shards open side by side. When shard 1 of three holds the previous
+// layout, Start fails with shard 1's error, and the shards that opened
+// beside it are closed with their worker threads joined. With shard 1's
+// image gone, shards 0 and 2 come back with every key.
+TEST(KvMapLayout, OneRefusedShardFailsTheStartAndLeavesNoThread) {
+  const std::string base = TempBase("one_of_three");
+  const auto image = [&base](uint32_t s) {
+    return base + ".shard" + std::to_string(s) + ".img";
+  };
+  ServerOptions opts;
+  opts.nshards = 3;
+  opts.shard.device_bytes = 32ull << 20;
+  opts.shard.map_capacity = 1 << 10;
+  opts.shard.image_base = base;
+  std::map<std::string, std::string> kv;
+  for (int i = 0; i < 120; ++i) {
+    kv["k" + std::to_string(i)] = std::string(64 + i, static_cast<char>('a' + i % 26));
+  }
+  std::string err;
+  {
+    auto server = Server::Start(opts, &err);
+    ASSERT_NE(server, nullptr) << err;
+    auto c = Client::Connect("127.0.0.1", server->port(), &err);
+    ASSERT_NE(c, nullptr) << err;
+    for (const auto& [k, v] : kv) {
+      ASSERT_TRUE(c->Set(k, v)) << k;
+    }
+    ASSERT_TRUE(c->Shutdown());
+    server->Wait();
+    ASSERT_TRUE(server->shutdown_report().ok);
+  }
+  {
+    auto dev = NewDevice(32);
+    auto rt = core::JnvmRuntime::Format(dev.get());
+    store::JpdtBackend legacy(rt.get(), "server.store", 16);
+    legacy.Put("k", One("v"));
+    rt->Close();
+    ASSERT_TRUE(dev->SaveTo(image(1)));
+  }
+
+  const size_t threads_before = ThreadCount();
+  EXPECT_EQ(Server::Start(opts, &err), nullptr);
+  EXPECT_EQ(err.rfind("shard 1: the heap holds the previous store layout", 0), 0u)
+      << err;
+  EXPECT_EQ(ThreadCount(), threads_before);
+
+  std::filesystem::remove(image(1));
+  {
+    auto server = Server::Start(opts, &err);
+    ASSERT_NE(server, nullptr) << err;
+    auto c = Client::Connect("127.0.0.1", server->port(), &err);
+    ASSERT_NE(c, nullptr) << err;
+    size_t kept = 0;
+    for (const auto& [k, v] : kv) {
+      const std::optional<std::string> got = c->Get(k);
+      if (ShardFor(k, opts.nshards) == 1) {
+        EXPECT_FALSE(got.has_value()) << k;  // shard 1 starts empty
+        continue;
+      }
+      ASSERT_TRUE(got.has_value()) << k;
+      EXPECT_EQ(*got, v) << k;
+      ++kept;
+    }
+    EXPECT_GT(kept, 0u);
+    ASSERT_TRUE(c->Shutdown());
+    server->Wait();
+  }
+  for (uint32_t s = 0; s < opts.nshards; ++s) {
+    std::filesystem::remove(image(s));
+  }
 }
 
 // SET 100-B and 1 KiB values, SHUTDOWN, then the built jnvm_inspect on each

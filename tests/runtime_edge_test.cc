@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <thread>
 
 #include "src/core/integrity.h"
 #include "src/pdt/pmap.h"
 #include "src/pdt/pstring.h"
+#include "src/pfa/fa_log.h"
 
 namespace jnvm::core {
 namespace {
@@ -147,6 +150,49 @@ TEST(ClassTableTest, ManyClassesAcrossRestart) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(rt->heap().InternClassId("edge.Class" + std::to_string(i)), ids[i]);
   }
+}
+
+// ---- Threads that run failure-atomic blocks ---------------------------------------
+// A server shard recovers on an opener thread that exits before the shard
+// serves. The opener's root-map Put takes a log slot, and the threads that
+// run blocks after it take their own.
+
+TEST(FaThreadsTest, OpenerThreadExitLeavesNoLogBehind) {
+  nvm::DeviceOptions o;
+  o.size_bytes = 16 << 20;
+  auto dev = std::make_unique<nvm::PmemDevice>(o);
+  {
+    auto rt = JnvmRuntime::Format(dev.get());
+    const auto put = [&rt](const std::string& name, int64_t v) {
+      Node n(*rt, v);
+      rt->root().Put(name, &n);  // one failure-atomic block
+    };
+    std::thread opener([&] { put("opener", 1); });
+    opener.join();
+    std::thread worker([&] {
+      for (int i = 0; i < 20; ++i) {
+        put("worker" + std::to_string(i), 100 + i);
+      }
+    });
+    for (int i = 0; i < 20; ++i) {
+      put("main" + std::to_string(i), 200 + i);
+    }
+    worker.join();
+    const pfa::LogAudit audit = pfa::AuditLogs(&rt->heap());
+    EXPECT_EQ(audit.active_slots, 0u);
+    EXPECT_EQ(audit.committed_slots, 0u);
+    rt->Abandon();  // reopen as after a kill -9
+  }
+  auto rt = JnvmRuntime::Open(dev.get());
+  EXPECT_EQ(rt->recovery_report().replay.replayed_logs, 0u);
+  EXPECT_EQ(rt->recovery_report().replay.aborted_logs, 0u);
+  EXPECT_EQ(rt->root().Size(), 41u);
+  EXPECT_EQ(rt->root().GetAs<Node>("opener")->Value(), 1);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(rt->root().GetAs<Node>("worker" + std::to_string(i))->Value(), 100 + i);
+    EXPECT_EQ(rt->root().GetAs<Node>("main" + std::to_string(i))->Value(), 200 + i);
+  }
+  EXPECT_TRUE(VerifyHeapIntegrity(*rt).ok());
 }
 
 // ---- Deep structures ----------------------------------------------------------------

@@ -189,9 +189,9 @@ int PrintSummary(const char* path, nvm::PmemDevice* dev,
               " pending entrie(s)\n",
               logs.active_slots, logs.committed_slots, logs.pending_entries);
   std::printf("  recovery  : %u log(s) replayed, %u aborted, %" PRIu64
-              " block(s) swept\n",
+              " block(s) swept, %" PRIu64 " device reads\n",
               rep.replay.replayed_logs, rep.replay.aborted_logs,
-              rep.sweep.freed_blocks);
+              rep.sweep.freed_blocks, rep.device_reads);
   PrintServerStore(*rt);
   PrintReplLog(*rt);
   PrintClusterMeta(*rt, /*summary=*/true);
@@ -288,9 +288,10 @@ int main(int argc, char** argv) {
   const auto& rep = rt->recovery_report();
   std::printf("  redo logs: %u replayed, %u aborted; %" PRIu64
               " objects traversed, %" PRIu64 " refs nullified, %" PRIu64
-              " blocks freed\n",
+              " blocks freed, %" PRIu64 " device reads\n",
               rep.replay.replayed_logs, rep.replay.aborted_logs,
-              rep.traversed_objects, rep.nullified_refs, rep.sweep.freed_blocks);
+              rep.traversed_objects, rep.nullified_refs, rep.sweep.freed_blocks,
+              rep.device_reads);
 
   std::printf("\nintegrity audit: ");
   const auto report =
